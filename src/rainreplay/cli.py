@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: gen (materialize datasets), run (execute a method and write
-CSVs), similarity (print the per-stage similarity chain), cost (symbolic cost
+CSVs), similarity (print the memory chain that ``run --method clgid`` follows
+at its default flags: per stage the similarity scores, the generator-training
+flag, the mapped generator and the fresh replay samples), cost (symbolic cost
 simulation), compare (merge run outputs into one comparison CSV).
 
 Config files are plain key=value lines with '#' comments; unknown keys are
@@ -19,10 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import costs, memgen, pipeline, synthdata
+from . import __version__, costs, pipeline, synthdata
 from .synthdata import DatasetSpec, RainParams, make_stream
-
-VERSION = "0.1.0"
 
 EXIT_OK = 0
 EXIT_GENERIC = 1
@@ -82,9 +82,10 @@ def _spec_key_ok(key, ids):
     return bool(field) and head in ids and field in _DATASET_KEYS
 
 
-def parse_stream_spec(path):
-    """Two-pass parse: dataset ids first, then full key validation."""
-    raw = parse_kv_file(path)
+def parse_stream_spec(raw, path):
+    """Stream spec from a parsed key=value mapping; ``path`` names its origin
+    in error messages. Two passes: dataset ids first, then full key
+    validation."""
     if "datasets" not in raw:
         raise CliError(f"{path}: missing required key 'datasets'", EXIT_BAD_KEY)
     ids = [d.strip() for d in raw["datasets"].split(",") if d.strip()]
@@ -148,7 +149,7 @@ def build_stage_config(args, seed):
 
 
 def write_manifest(out_dir, args, seed, spec_raw):
-    lines = [f"version={VERSION}", f"method={args.method}", f"seed={seed}",
+    lines = [f"version={__version__}", f"method={args.method}", f"seed={seed}",
              f"iterations={args.iterations}", f"batch_size={args.batch_size}",
              f"lambda={args.lam}", f"threshold={args.threshold}",
              f"floor={args.floor}",
@@ -163,15 +164,8 @@ def write_manifest(out_dir, args, seed, spec_raw):
 
 
 def load_manifest_args(path, args):
+    """Set ``args`` from a run manifest; returns its stream-spec mapping."""
     raw = parse_kv_file(path)
-    spec_lines = []
-    for k, v in raw.items():
-        if k.startswith("spec."):
-            spec_lines.append(f"{k[5:]}={v}")
-    spec_path = os.path.join(os.path.dirname(path) or ".", "_manifest_spec.txt")
-    with open(spec_path, "w") as fh:
-        fh.write("\n".join(spec_lines) + "\n")
-    args.config = spec_path
     args.method = raw["method"]
     args.seed = int(raw["seed"])
     args.iterations = int(raw["iterations"])
@@ -184,11 +178,11 @@ def load_manifest_args(path, args):
     args.no_selective = bool(int(raw["no_selective"]))
     args.no_replay = bool(int(raw["no_replay"]))
     args.no_distill = bool(int(raw["no_distill"]))
-    return args
+    return {k[5:]: v for k, v in raw.items() if k.startswith("spec.")}
 
 
 def cmd_gen(args):
-    stream, _, _ = parse_stream_spec(args.config)
+    stream, _, _ = parse_stream_spec(parse_kv_file(args.config), args.config)
     os.makedirs(args.out, exist_ok=True)
     for spec in stream:
         ds = synthdata.make_dataset(spec)
@@ -199,12 +193,14 @@ def cmd_gen(args):
 
 def cmd_run(args):
     if args.manifest:
-        args = load_manifest_args(args.manifest, args)
+        spec_raw, origin = load_manifest_args(args.manifest, args), args.manifest
+    else:
+        spec_raw, origin = parse_kv_file(args.config), args.config
     if args.method not in METHODS:
         raise CliError(
             f"unknown method {args.method!r}; expected one of {METHODS}",
             EXIT_BAD_METHOD)
-    stream, spec_seed, spec_raw = parse_stream_spec(args.config)
+    stream, spec_seed, spec_raw = parse_stream_spec(spec_raw, origin)
     seed = args.seed if args.seed is not None else spec_seed
     cfg = build_stage_config(args, seed)
     if args.method == "individual":
@@ -222,23 +218,23 @@ def cmd_run(args):
 
 
 def cmd_similarity(args):
-    stream, spec_seed, _ = parse_stream_spec(args.config)
+    stream, spec_seed, _ = parse_stream_spec(parse_kv_file(args.config), args.config)
     seed = args.seed if args.seed is not None else spec_seed
-    gens = []
-    for n, spec in enumerate(stream, start=1):
-        ds = synthdata.make_dataset(spec)
-        if n == 1:
-            print(f"stage 1 ({spec.id}): bootstrap, S_hat=1")
+    run_defaults = build_parser().parse_args(["run", "--out", os.devnull])
+    cfg = build_stage_config(run_defaults, seed)
+    chain = pipeline.memory_chain(
+        [train for train, _ in pipeline.stream_splits(stream)], cfg)
+    for n, (spec, step) in enumerate(zip(stream, chain), start=1):
+        sim = step.similarity
+        if sim.s_min is None:
+            scores = "bootstrap, S_hat=1"
         else:
-            replay = memgen.build_replay_dataset(
-                gens, ds, pipeline.derive_seed(seed, "replay", n))
-            sim = pipeline.similarity(ds.rainy_images, replay, n - 1)
             per = ", ".join(
                 "s_%d=%.4f" % (i + 1, s) for i, s in enumerate(sim.per_generator)
                 if s is not None)
-            print(f"stage {n} ({spec.id}): {per}; S=%.4f S_hat=%.4f"
-                  % (sim.s_min, sim.s_hat))
-        gens.append(memgen.fit_generator(ds))
+            scores = f"{per}; S=%.4f S_hat=%.4f" % (sim.s_min, sim.s_hat)
+        print(f"stage {n} ({spec.id}): {scores}; delta={step.delta} "
+              f"generator=g{step.generator + 1} fresh={step.sampler_calls}")
     return EXIT_OK
 
 
@@ -346,7 +342,8 @@ def build_parser():
     r.add_argument("--no-distill", action="store_true")
     r.set_defaults(func=cmd_run)
 
-    s = sub.add_parser("similarity", help="print the per-stage similarity chain")
+    s = sub.add_parser(
+        "similarity", help="print the memory chain of run --method clgid")
     add_common(s)
     s.set_defaults(func=cmd_similarity)
 

@@ -56,14 +56,6 @@ class CostReport:
     p_gan: float
     p_dnet: float
 
-    @staticmethod
-    def _prefix(vals):
-        out, acc = [], 0.0
-        for v in vals:
-            acc += v
-            out.append(acc)
-        return out
-
     @property
     def flops_gan(self):
         return sum(self.per_stage_flops_gan)
@@ -87,9 +79,6 @@ class CostReport:
     @property
     def t_dnet(self):
         return sum(self.per_stage_t_dnet)
-
-    def cumulative_flops_gan(self):
-        return self._prefix(self.per_stage_flops_gan)
 
 
 def appendix_costs(constants: CostConstants, sizes, deltas=None) -> CostReport:

@@ -81,9 +81,6 @@ class Image:
             return self.data[:, :, 0]
         return self.data @ LUMA_WEIGHTS
 
-    def clipped(self) -> "Image":
-        return Image(np.clip(self.data, 0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class HogConfig:

@@ -15,6 +15,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +96,15 @@ class StreamReport:
     @property
     def n_stages(self):
         return len(self.iterations)
+
+    def record(self, iterations, step: "ChainStep", log):
+        """Append one stage's budget, memory-chain step and loss log."""
+        self.iterations.append(iterations)
+        self.sampler_calls.append(step.sampler_calls)
+        self.similarity.append(step.similarity)
+        self.deltas.append(step.delta)
+        self.replay_active.append(step.replay is not None)
+        self.loss_logs.append(log)
 
     def avg_memory_psnr(self, stage=None):
         stage = stage if stage is not None else self.n_stages
@@ -189,7 +199,9 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
         l_replay, l_consist = 0.0, 0.0
         if sampler_replay is not None:
             x_rep, y_rep = sampler_replay.next_batch()
-            prev_out = restorer.forward(f_prev, x_rep) if f_prev is not None else None
+            prev_out = None
+            if f_prev is not None and cfg.lam > 0:
+                prev_out = restorer.forward(f_prev, x_rep)
             l_replay, l_consist, g_rep = restorer.replay_loss_grads(
                 state, x_rep, y_rep, prev_out, cfg.lam)
             restorer.add_grads(grads, g_rep)
@@ -227,71 +239,96 @@ def evaluate(state, pairs):
     return float(np.mean(ps)), float(np.mean(ss))
 
 
-def run_stream(stream: DatasetStream, cfg: StageConfig, method="clgid",
-               holdout: RainDataset | None = None) -> StreamReport:
-    datasets = [make_dataset(spec) for spec in stream]
-    splits = [split_train_test(ds) for ds in datasets]
+class ChainStep(NamedTuple):
+    """One stage of the memory chain."""
+
+    replay: memgen.ReplayDataset | None  # None at stage 1 or without replay
+    similarity: SimilarityReport
+    delta: int  # 1 iff a generator was fitted to this dataset; 0 without replay
+    generator: int | None  # index of the generator mapped to this dataset
+    sampler_calls: int  # fresh replay samples drawn
+
+
+def memory_chain(train_sets, cfg: StageConfig):
+    """The generator / replay / similarity chain, one ``ChainStep`` per stage.
+
+    Stage n replays the mapped generators of datasets 1..n-1 onto the
+    incoming training set (through the reuse cache under ``cfg.reuse``),
+    scores the training set against each replayed slot, then fits a
+    generator to it unless the selective policy maps it onto the nearest
+    existing one. The chain never reads the restorer, so it runs the same
+    with or without training; steps are produced lazily, stage by stage.
+    """
+    generators = []  # distinct fitted generators
+    mapped = []  # per prior dataset: index into generators
+    cache = memgen.ReplayCache(stage=1, entries=[])
+    for n, train_ds in enumerate(train_sets, start=1):
+        replay, calls = None, 0
+        if cfg.replay and n >= 2:
+            seed = derive_seed(cfg.seed, "replay", n)
+            slot_gens = [generators[g] for g in mapped]
+            if cfg.reuse:
+                plan = memgen.reuse_plan(cache, n, len(train_ds))
+                replay, cache, calls = memgen.apply_reuse(
+                    cache, plan, slot_gens, train_ds, seed)
+            else:
+                replay = memgen.build_replay_dataset(slot_gens, train_ds, seed)
+                calls = len(replay)
+
+        sim = similarity(train_ds.rainy_images, replay, n - 1)
+        if not cfg.replay:
+            yield ChainStep(None, sim, 0, None, 0)
+            continue
+        delta = 1
+        if cfg.selective:
+            delta = memgen.select_generator_training(
+                sim.s_hat, cfg.threshold, first_stage=(n == 1))
+        if delta:
+            generators.append(memgen.fit_generator(train_ds))
+            mapped.append(len(generators) - 1)
+        else:
+            # skipped dataset is represented by its nearest generator
+            nearest_slot = int(np.argmin(
+                [s if s is not None else np.inf for s in sim.per_generator]))
+            mapped.append(mapped[nearest_slot])
+        yield ChainStep(replay, sim, delta, mapped[-1], calls)
+
+
+def stream_splits(stream: DatasetStream):
+    """Per dataset of the stream: (training set, test pairs)."""
+    return [split_train_test(make_dataset(spec)) for spec in stream]
+
+
+def _setup(stream: DatasetStream, cfg: StageConfig, holdout):
+    splits = stream_splits(stream)
     if holdout is None:
         holdout = make_holdout(derive_seed(cfg.seed, "holdout"),
                                pair_count=cfg.holdout_pairs,
                                image_size=stream[0].image_size)
+    return splits, holdout
 
+
+def run_stream(stream: DatasetStream, cfg: StageConfig, method="clgid",
+               holdout: RainDataset | None = None) -> StreamReport:
+    splits, holdout = _setup(stream, cfg, holdout)
     report = StreamReport(method=method, dataset_ids=[s.id for s in stream])
     state = restorer.RestorerState.random_init(derive_seed(cfg.seed, "init", 1))
     f_prev = None
-    generators = []  # distinct fitted generators
-    mapped = []  # per prior dataset: index into generators
-    cache = memgen.ReplayCache(stage=1, entries=[])
-
-    for n, (train_ds, test_pairs) in enumerate(splits, start=1):
-        replay = None
-        calls = 0
-        if cfg.replay and n >= 2:
-            slot_gens = [generators[mapped[i]] for i in range(n - 1)]
-            if cfg.reuse:
-                plan = memgen.reuse_plan(cache, n, len(train_ds))
-                replay, cache, calls = memgen.apply_reuse(
-                    cache, plan, slot_gens, train_ds,
-                    derive_seed(cfg.seed, "replay", n))
-            else:
-                replay = memgen.build_replay_dataset(
-                    slot_gens, train_ds, derive_seed(cfg.seed, "replay", n))
-                calls = len(replay)
-
-        sim = similarity(train_ds.rainy_images, replay, n - 1)
-        iterations = (scaled_iterations(sim.s_hat, cfg.iterations, cfg.floor)
+    chain = memory_chain([train for train, _ in splits], cfg)
+    for n, ((train_ds, _), step) in enumerate(zip(splits, chain), start=1):
+        iterations = (scaled_iterations(step.similarity.s_hat, cfg.iterations,
+                                        cfg.floor)
                       if cfg.speedup else cfg.iterations)
-
-        delta = 1
-        if cfg.replay:
-            if cfg.selective:
-                delta = memgen.select_generator_training(
-                    sim.s_hat, cfg.threshold, first_stage=(n == 1))
-            if delta:
-                generators.append(memgen.fit_generator(train_ds))
-                mapped.append(len(generators) - 1)
-            else:
-                # skipped dataset is represented by its nearest generator
-                nearest_slot = int(np.argmin(
-                    [s if s is not None else np.inf for s in sim.per_generator]))
-                mapped.append(mapped[nearest_slot])
-
         state, log = train_stage(
-            state, f_prev,
-            train_ds.pairs,
-            replay.pairs if replay is not None else None,
+            state, f_prev, train_ds.pairs,
+            step.replay.pairs if step.replay is not None else None,
             cfg, iterations, n)
         f_prev = state.copy()
 
         for d in range(1, n + 1):
             report.memory[(n, d)] = evaluate(state, splits[d - 1][1])
         report.generalization.append(evaluate(state, holdout.pairs))
-        report.iterations.append(iterations)
-        report.sampler_calls.append(calls)
-        report.similarity.append(sim)
-        report.deltas.append(delta if cfg.replay else 0)
-        report.replay_active.append(replay is not None)
-        report.loss_logs.append(log)
+        report.record(iterations, step, log)
     return report
 
 
@@ -306,55 +343,30 @@ def baseline_sf(stream: DatasetStream, cfg: StageConfig,
 def baseline_individual(stream: DatasetStream, cfg: StageConfig,
                         holdout: RainDataset | None = None) -> StreamReport:
     """Fresh network per dataset; diagonal-only memory matrix."""
-    datasets = [make_dataset(spec) for spec in stream]
-    splits = [split_train_test(ds) for ds in datasets]
-    if holdout is None:
-        holdout = make_holdout(derive_seed(cfg.seed, "holdout"),
-                               pair_count=cfg.holdout_pairs,
-                               image_size=stream[0].image_size)
+    splits, holdout = _setup(stream, cfg, holdout)
     report = StreamReport(method="individual", dataset_ids=[s.id for s in stream])
+    no_replay = ChainStep(None, SimilarityReport.bootstrap(), 0, None, 0)
     for n, (train_ds, test_pairs) in enumerate(splits, start=1):
         state = restorer.RestorerState.random_init(derive_seed(cfg.seed, "init", n))
         state, log = train_stage(state, None, train_ds.pairs, None, cfg,
                                  cfg.iterations, n)
         report.memory[(n, n)] = evaluate(state, test_pairs)
         report.generalization.append(evaluate(state, holdout.pairs))
-        report.iterations.append(cfg.iterations)
-        report.sampler_calls.append(0)
-        report.similarity.append(SimilarityReport.bootstrap())
-        report.deltas.append(0)
-        report.replay_active.append(False)
-        report.loss_logs.append(log)
+        report.record(cfg.iterations, no_replay, log)
     return report
 
 
 def selective_chain(stream: DatasetStream, threshold: float, seed: int):
-    """Run only the generator / replay / similarity chain with the selective
-    training policy; returns the per-stage train-a-generator flags.
+    """Per-stage train-a-generator flags of the selective memory chain.
 
-    Cheap enough to sweep thresholds without touching the restorer.
+    Fits, replays and scores on each dataset's training split, exactly as
+    ``run_stream`` does, so the flags equal the ``deltas`` of ``run --method
+    clgid --no-reuse`` at this threshold and seed. Cheap enough to sweep
+    thresholds without touching the restorer.
     """
-    datasets = [make_dataset(spec) for spec in stream]
-    generators, mapped, deltas = [], [], []
-    for n, ds in enumerate(datasets, start=1):
-        if n == 1:
-            sim = SimilarityReport.bootstrap()
-        else:
-            slot_gens = [generators[mapped[i]] for i in range(n - 1)]
-            replay = memgen.build_replay_dataset(
-                slot_gens, ds, derive_seed(seed, "replay", n))
-            sim = similarity(ds.rainy_images, replay, n - 1)
-        delta = memgen.select_generator_training(
-            sim.s_hat, threshold, first_stage=(n == 1))
-        deltas.append(delta)
-        if delta:
-            generators.append(memgen.fit_generator(ds))
-            mapped.append(len(generators) - 1)
-        else:
-            nearest_slot = int(np.argmin(
-                [s if s is not None else np.inf for s in sim.per_generator]))
-            mapped.append(mapped[nearest_slot])
-    return deltas
+    cfg = StageConfig(selective=True, reuse=False, threshold=threshold, seed=seed)
+    chain = memory_chain([train for train, _ in stream_splits(stream)], cfg)
+    return [step.delta for step in chain]
 
 
 # ---------------------------------------------------------------------------

@@ -74,20 +74,6 @@ class RestorerState:
             pos += cnt
 
 
-@dataclass
-class LossBreakdown:
-    l_new: float
-    l_replay: float
-    l_consist: float
-
-    @property
-    def l_interleave(self):
-        return self.l_replay + self.l_new
-
-    def l_total(self, lam: float):
-        return self.l_interleave + lam * self.l_consist
-
-
 # ---------------------------------------------------------------------------
 # Padding / convolution primitives and their adjoints
 # ---------------------------------------------------------------------------
@@ -189,10 +175,6 @@ def _backprop(state, cache, dpred):
     da1 = dh1 * (a1 > 0.0)
     dw1, db1, _ = _conv3x3_backward(x, p["w1"], da1)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
-
-
-def zero_grads():
-    return {n: np.zeros(s) for n, s in LAYER_SHAPES}
 
 
 def add_grads(acc, other, scale=1.0):

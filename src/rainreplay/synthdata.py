@@ -126,9 +126,12 @@ def draw_streak(canvas, cy, cx, angle_deg, length, width, intensity):
     """
     size_y, size_x = canvas.shape
     ang = np.radians(angle_deg)
-    # angle_deg is the streak's gradient (normal) orientation so that the HOG
-    # argmax of a rendered layer lands in the bin containing angle_deg; the
-    # segment itself runs perpendicular to it.
+    # angle_deg is the streak's gradient (normal) orientation; the segment
+    # itself runs perpendicular to it. The HOG of a rendered layer peaks near
+    # angle_deg, not always in its bin: the finite-difference gradients of
+    # thin anti-aliased streaks lean towards the diagonals, so at 64 px a
+    # 30 or 60 degree layer peaks in the 40-60 bin and a 120 or 150 degree
+    # layer in the 120-140 bin.
     dy, dx = np.cos(ang), -np.sin(ang)
     half = length / 2.0
     y0, x0 = cy - dy * half, cx - dx * half

@@ -1,8 +1,10 @@
 import os
+import re
+from dataclasses import replace
 
 import pytest
 
-from rainreplay import cli
+from rainreplay import cli, pipeline
 from rainreplay.cli import (
     EXIT_BAD_KEY, EXIT_BAD_METHOD, EXIT_MISSING_FILE, EXIT_OK, main,
 )
@@ -99,6 +101,24 @@ def test_similarity_prints_chain(spec_file, capsys):
     assert "stage 2 (b):" in out and "S_hat=" in out
 
 
+def test_similarity_prints_the_clgid_run_chain(tmp_path, capsys):
+    path = tmp_path / "stream.txt"
+    path.write_text("datasets=a,b,c,d\nimage_size=16\npair_count=10\nseed=5\n"
+                    + "".join(f"{d}.angle_mean={a}\n{d}.density=30\n"
+                              for d, a in zip("abcd", (30, 120, 75, 30))))
+    assert main(["similarity", "--config", str(path)]) == EXIT_OK
+    printed = re.findall(r"delta=(\d) generator=g\d+ fresh=(\d+)",
+                         capsys.readouterr().out)
+
+    stream, seed, _ = cli.parse_stream_spec(cli.parse_kv_file(str(path)), str(path))
+    args = cli.build_parser().parse_args(["run", "--out", str(tmp_path / "o")])
+    cfg = replace(cli.build_stage_config(args, seed), iterations=1)
+    report = pipeline.run_stream(stream, cfg)
+    assert [(int(d), int(f)) for d, f in printed] == \
+        list(zip(report.deltas, report.sampler_calls))
+    assert 0 in report.deltas[1:] and 1 in report.deltas[1:]
+
+
 def test_cost_command(tmp_path, capsys):
     consts = tmp_path / "c.txt"
     consts.write_text("\n".join(
@@ -148,6 +168,15 @@ def test_manifest_rerun_reproduces(spec_file, tmp_path):
                  "--out", b]) == EXIT_OK
     for name in ("memory.csv", "generalization.csv", "cost.csv"):
         assert _read(os.path.join(a, name)) == _read(os.path.join(b, name))
+
+
+def test_manifest_rerun_leaves_source_dir_unchanged(spec_file, tmp_path):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert _run(spec_file, a) == EXIT_OK
+    before = sorted(os.listdir(a))
+    assert main(["run", "--manifest", os.path.join(a, "manifest.txt"),
+                 "--out", b]) == EXIT_OK
+    assert sorted(os.listdir(a)) == before
 
 
 def test_run_individual(spec_file, tmp_path):

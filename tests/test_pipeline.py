@@ -13,6 +13,7 @@ from rainreplay.pipeline import (
 from rainreplay.synthdata import make_dataset, make_stream
 
 from conftest import dataset_spec
+from test_acceptance import _reference_stream
 
 
 def scaled_iterations_oracle(s_hat, iterations, floor):
@@ -174,6 +175,24 @@ def test_stage_one_has_no_replay_terms():
     assert any(step["l_replay"] > 0.0 for step in report.loss_logs[1])
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_teacher_forward_only_when_distilling(monkeypatch, lam):
+    forwards = []
+    real_forward = pipeline.restorer.forward
+
+    def spy(state, x):
+        forwards.append(x.shape)
+        return real_forward(state, x)
+
+    monkeypatch.setattr(pipeline.restorer, "forward", spy)
+    ds = make_dataset(dataset_spec("a", 5, pairs=3, size=16))
+    cfg = _tiny_cfg(lam=lam)
+    teacher = pipeline.restorer.RestorerState.random_init(2)
+    state = pipeline.restorer.RestorerState.random_init(1)
+    pipeline.train_stage(state, teacher, ds.pairs, ds.pairs, cfg, 5, 2)
+    assert len(forwards) == (0 if lam == 0.0 else 5)
+
+
 def test_lambda_zero_drops_consistency_from_total():
     stream = _stream([30.0, 120.0], pairs=5)
     report = run_stream(stream, _tiny_cfg(iterations=6, lam=0.0))
@@ -249,6 +268,14 @@ def test_selective_chain_monotone_in_threshold():
         totals.append(sum(deltas))
     assert all(b <= a for a, b in zip(totals, totals[1:]))
     assert totals[0] >= totals[-1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_selective_chain_predicts_no_reuse_run(seed):
+    stream = _reference_stream(seed)
+    cfg = StageConfig(iterations=1, selective=True, reuse=False,
+                      threshold=0.4, seed=seed)
+    assert selective_chain(stream, 0.4, seed) == run_stream(stream, cfg).deltas
 
 
 def test_selective_run_skips_generator_for_duplicate():

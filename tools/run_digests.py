@@ -1,0 +1,76 @@
+"""Print SHA-256 digests of the run CSVs for a fixed small stream.
+
+Runs ``rainreplay run`` on one fixed four-dataset spec for six method
+configurations and prints, per configuration, the digest of each of
+``memory.csv``, ``generalization.csv`` and ``cost.csv``. A refactor that
+must not change results leaves every printed digest unchanged:
+
+    python3 tools/run_digests.py > before.txt   # on the old checkout
+    python3 tools/run_digests.py > after.txt    # on the new checkout
+    diff before.txt after.txt
+
+The package is imported from the ``src/`` of the checkout holding this script.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from rainreplay import cli  # noqa: E402
+
+# Three rain angles, then a repeat of the first: the selective policy fits
+# generators for a and b and maps c and d onto them (deltas 1, 1, 0, 0).
+SPEC = """\
+datasets=a,b,c,d
+image_size=16
+pair_count=10
+seed=5
+a.angle_mean=30
+a.density=30
+b.angle_mean=120
+b.density=30
+c.angle_mean=75
+c.density=30
+d.angle_mean=30
+d.density=30
+"""
+
+CONFIGS = (
+    ("clgid", ["--method", "clgid"]),
+    ("clgid --no-reuse", ["--method", "clgid", "--no-reuse"]),
+    ("clgid --no-distill", ["--method", "clgid", "--no-distill"]),
+    ("clgid-fast", ["--method", "clgid-fast"]),
+    ("sf", ["--method", "sf"]),
+    ("individual", ["--method", "individual"]),
+)
+CSVS = ("memory.csv", "generalization.csv", "cost.csv")
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "stream.txt")
+        with open(spec, "w") as fh:
+            fh.write(SPEC)
+        for k, (label, extra) in enumerate(CONFIGS):
+            out = os.path.join(tmp, f"run{k}")
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", "--config", spec, "--out", out,
+                                 "--iterations", "30", "--batch-size", "2", *extra])
+            if code != cli.EXIT_OK:
+                raise SystemExit(f"{label}: exit code {code}")
+            for name in CSVS:
+                with open(os.path.join(out, name), "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).hexdigest()
+                print(f"{label:<20} {name:<20} {digest}")
+
+
+if __name__ == "__main__":
+    main()
