@@ -75,6 +75,15 @@ def parse_kv_file(path, allowed_check=None):
     return out
 
 
+def _typed(path, key, value, convert):
+    """``convert(value)``, or exit 2 naming the file and key it came from."""
+    try:
+        return convert(value)
+    except ValueError:
+        raise CliError(f"{path}: key {key!r} has malformed value {value!r}",
+                       EXIT_BAD_KEY) from None
+
+
 def _spec_key_ok(key, ids):
     if key in _GLOBAL_KEYS:
         return True
@@ -95,12 +104,15 @@ def parse_stream_spec(raw, path):
         if not _spec_key_ok(key, set(ids)):
             raise CliError(f"{path}: unknown key {key!r}", EXIT_BAD_KEY)
 
-    g_seed = int(raw.get("seed", 0))
-    g_size = int(raw.get("image_size", 64))
-    g_pairs = int(raw.get("pair_count", 10))
+    def value(key, default, convert):
+        return _typed(path, key, raw.get(key, default), convert)
 
-    def dval(ds_id, field, default):
-        return raw.get(f"{ds_id}.{field}", default)
+    g_seed = value("seed", 0, int)
+    g_size = value("image_size", 64, int)
+    g_pairs = value("pair_count", 10, int)
+
+    def dval(ds_id, field, default, convert=float):
+        return value(f"{ds_id}.{field}", default, convert)
 
     specs = []
     for idx, ds_id in enumerate(ids):
@@ -109,15 +121,15 @@ def parse_stream_spec(raw, path):
                 f"{path}: dataset {ds_id!r} missing required key "
                 f"'{ds_id}.angle_mean'", EXIT_BAD_KEY)
         rain = RainParams(
-            angle_mean=float(raw[f"{ds_id}.angle_mean"]),
-            **{k: float(dval(ds_id, k, v)) for k, v in _RAIN_DEFAULTS.items()},
+            angle_mean=dval(ds_id, "angle_mean", None),
+            **{k: dval(ds_id, k, v) for k, v in _RAIN_DEFAULTS.items()},
         )
         specs.append(DatasetSpec(
             id=ds_id,
-            pair_count=int(dval(ds_id, "pair_count", g_pairs)),
-            image_size=int(dval(ds_id, "image_size", g_size)),
-            seed=int(dval(ds_id, "seed",
-                          pipeline.derive_seed(g_seed, "dataset", idx))),
+            pair_count=dval(ds_id, "pair_count", g_pairs, int),
+            image_size=dval(ds_id, "image_size", g_size, int),
+            seed=dval(ds_id, "seed",
+                      pipeline.derive_seed(g_seed, "dataset", idx), int),
             rain=rain,
         ))
     return make_stream(specs), g_seed, raw
@@ -166,18 +178,24 @@ def write_manifest(out_dir, args, seed, spec_raw):
 def load_manifest_args(path, args):
     """Set ``args`` from a run manifest; returns its stream-spec mapping."""
     raw = parse_kv_file(path)
-    args.method = raw["method"]
-    args.seed = int(raw["seed"])
-    args.iterations = int(raw["iterations"])
-    args.batch_size = int(raw["batch_size"])
-    args.lam = float(raw["lambda"])
-    args.threshold = float(raw["threshold"])
-    args.floor = float(raw["floor"])
-    args.no_speedup = bool(int(raw["no_speedup"]))
-    args.no_reuse = bool(int(raw["no_reuse"]))
-    args.no_selective = bool(int(raw["no_selective"]))
-    args.no_replay = bool(int(raw["no_replay"]))
-    args.no_distill = bool(int(raw["no_distill"]))
+
+    def value(key, convert):
+        if key not in raw:
+            raise CliError(f"{path}: missing required key {key!r}", EXIT_BAD_KEY)
+        return _typed(path, key, raw[key], convert)
+
+    args.method = value("method", str)
+    args.seed = value("seed", int)
+    args.iterations = value("iterations", int)
+    args.batch_size = value("batch_size", int)
+    args.lam = value("lambda", float)
+    args.threshold = value("threshold", float)
+    args.floor = value("floor", float)
+    args.no_speedup = bool(value("no_speedup", int))
+    args.no_reuse = bool(value("no_reuse", int))
+    args.no_selective = bool(value("no_selective", int))
+    args.no_replay = bool(value("no_replay", int))
+    args.no_distill = bool(value("no_distill", int))
     return {k[5:]: v for k, v in raw.items() if k.startswith("spec.")}
 
 

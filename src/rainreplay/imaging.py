@@ -220,8 +220,58 @@ def kl_divergence(p: HogDescriptor, q: HogDescriptor) -> float:
     return float(np.sum(pv * np.log(pv / qv)))
 
 
-def _replicate_pad(arr: np.ndarray, pad: int = 1) -> np.ndarray:
-    return np.pad(arr, ((pad, pad), (pad, pad)), mode="edge")
+def pad_replicate(x: np.ndarray) -> np.ndarray:
+    """x padded by one replicated pixel on each side of its last two axes."""
+    h, w = x.shape[-2:]
+    xp = np.empty(x.shape[:-2] + (h + 2, w + 2))
+    xp[..., 1:-1, 1:-1] = x
+    xp[..., 0, 1:-1] = x[..., 0, :]
+    xp[..., -1, 1:-1] = x[..., -1, :]
+    xp[..., :, 0] = xp[..., :, 1]
+    xp[..., :, -1] = xp[..., :, -2]
+    return xp
+
+
+def pad_replicate_adjoint(dxp: np.ndarray) -> np.ndarray:
+    """Adjoint of ``pad_replicate``: fold the border back onto the edge pixels."""
+    dx = dxp[..., 1:-1, 1:-1].copy()
+    dx[..., 0, :] += dxp[..., 0, 1:-1]
+    dx[..., -1, :] += dxp[..., -1, 1:-1]
+    dx[..., :, 0] += dxp[..., 1:-1, 0]
+    dx[..., :, -1] += dxp[..., 1:-1, -1]
+    dx[..., 0, 0] += dxp[..., 0, 0]
+    dx[..., 0, -1] += dxp[..., 0, -1]
+    dx[..., -1, 0] += dxp[..., -1, 0]
+    dx[..., -1, -1] += dxp[..., -1, -1]
+    return dx
+
+
+def laplacian_batch(x: np.ndarray) -> np.ndarray:
+    """4-neighbor Laplacian over the last two axes, replicate-padded borders.
+
+    The taps are summed in ``LAPLACIAN_KERNEL`` row-major order.
+    """
+    xp = pad_replicate(x)
+    h, w = x.shape[-2:]
+    out = np.zeros(x.shape)
+    for k in range(3):
+        for l in range(3):
+            c = LAPLACIAN_KERNEL[k, l]
+            if c != 0.0:
+                out += c * xp[..., k : k + h, l : l + w]
+    return out
+
+
+def laplacian_batch_adjoint(dout: np.ndarray) -> np.ndarray:
+    """Adjoint of ``laplacian_batch``."""
+    h, w = dout.shape[-2:]
+    dxp = np.zeros(dout.shape[:-2] + (h + 2, w + 2))
+    for k in range(3):
+        for l in range(3):
+            c = LAPLACIAN_KERNEL[k, l]
+            if c != 0.0:
+                dxp[..., k : k + h, l : l + w] += c * dout
+    return pad_replicate_adjoint(dxp)
 
 
 def laplacian(img: Image) -> np.ndarray:
@@ -229,17 +279,7 @@ def laplacian(img: Image) -> np.ndarray:
 
     Returned unclipped as an H x W x C float array (values may leave [0, 1]).
     """
-    out = np.empty_like(img.data)
-    k = LAPLACIAN_KERNEL
-    for c in range(img.channels):
-        p = _replicate_pad(img.data[:, :, c])
-        acc = np.zeros(img.data.shape[:2])
-        for dy in range(3):
-            for dx in range(3):
-                if k[dy, dx] != 0.0:
-                    acc += k[dy, dx] * p[dy : dy + acc.shape[0], dx : dx + acc.shape[1]]
-        out[:, :, c] = acc
-    return out
+    return np.moveaxis(laplacian_batch(np.moveaxis(img.data, 2, 0)), 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -161,14 +161,27 @@ class _BatchSampler:
         self.order = []
 
     def next_batch(self):
+        """The next (x, y) batch and the indices of the pairs it holds."""
         picked = []
         while len(picked) < self.batch_size:
             if not self.order:
                 self.order = list(self.rng.permutation(len(self.pairs)))
-            picked.append(self.pairs[self.order.pop(0)])
-        x = restorer.images_to_batch([p[0] for p in picked])
-        y = restorer.images_to_batch([p[1] for p in picked])
-        return x, y
+            picked.append(self.order.pop(0))
+        x = restorer.images_to_batch([self.pairs[i][0] for i in picked])
+        y = restorer.images_to_batch([self.pairs[i][1] for i in picked])
+        return x, y, picked
+
+
+def _teacher_outputs(f_prev, pairs, batch_size):
+    """The frozen network's output on every pair's rainy image, one forward
+    per chunk of at most ``batch_size`` pairs (a larger batch would raise the
+    step's peak memory). Each row equals, up to rounding, the output a
+    per-step forward over any batch holding that pair would give (see the
+    ``restorer`` module docstring)."""
+    return np.concatenate([
+        restorer.forward(f_prev, restorer.images_to_batch(
+            [rainy for rainy, _ in pairs[i : i + batch_size]]))
+        for i in range(0, len(pairs), batch_size)])
 
 
 def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
@@ -181,27 +194,33 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
     constant-step iterate never settles, so the network handed to evaluation
     and to the next stage's distillation would otherwise depend on where in
     its oscillation the budget happens to end.
+
+    ``f_prev`` and the replay pairs stay fixed for the stage, so the
+    distillation targets are computed once, before the first step, and each
+    replay step indexes the ones of the batch it drew: the stored-logits
+    replay of Buzzega et al. 2020 ("Dark Experience for General Continual
+    Learning").
     """
     sampler_new = _BatchSampler(
         new_pairs, cfg.batch_size,
         np.random.default_rng(derive_seed(cfg.seed, "batch-new", stage)))
-    sampler_replay = None
+    sampler_replay = teacher_out = None
     if replay_pairs:
         sampler_replay = _BatchSampler(
             replay_pairs, cfg.batch_size,
             np.random.default_rng(derive_seed(cfg.seed, "batch-replay", stage)))
+        if f_prev is not None and cfg.lam > 0:
+            teacher_out = _teacher_outputs(f_prev, replay_pairs, cfg.batch_size)
 
     log = []
     for it in range(iterations):
-        x_new, y_new = sampler_new.next_batch()
+        x_new, y_new, _ = sampler_new.next_batch()
         l_new, grads = restorer.restoration_loss_grads(state, x_new, y_new)
 
         l_replay, l_consist = 0.0, 0.0
         if sampler_replay is not None:
-            x_rep, y_rep = sampler_replay.next_batch()
-            prev_out = None
-            if f_prev is not None and cfg.lam > 0:
-                prev_out = restorer.forward(f_prev, x_rep)
+            x_rep, y_rep, picked = sampler_replay.next_batch()
+            prev_out = teacher_out[picked] if teacher_out is not None else None
             l_replay, l_consist, g_rep = restorer.replay_loss_grads(
                 state, x_rep, y_rep, prev_out, cfg.lam)
             restorer.add_grads(grads, g_rep)

@@ -4,10 +4,20 @@ Architecture: conv3x3 (3->8) -> ReLU -> conv3x3 (8->8) -> ReLU -> conv3x3
 (8->3), all replicate-padded; the head predicts the rain residual, so the
 restored image is x - head(x). Zero-initialized weights give the identity.
 
-Batches are channels-first float64 arrays of shape (B, 3, H, W). All forward
-and backward math is straight numpy, so runs are bit-reproducible on one
-numpy/BLAS build; other builds may sum in another order and differ in the
-last bits.
+Batches are channels-first float64 arrays of shape (B, 3, H, W). Inside the
+network, activations are channel-major, (C, B, H, W), so that each conv is
+one GEMM over all B*H*W pixels (Chellapilla et al. 2006): the forward pass
+builds the 9C x BHW im2col matrix of its replicate-padded input and
+multiplies it by the O x 9C weight matrix. The backward pass rebuilds those
+columns rather than keeping them (they are the largest array of a step) and
+runs one GEMM for dW and one for the column gradient, which a 9-slice col2im
+folds back onto the input; the first layer skips the input gradient.
+
+All forward and backward math is straight numpy, so runs are bit-reproducible
+on one numpy/BLAS build; other builds may sum in another order and differ in
+the last bits. Each output pixel of a conv GEMM reads only its own column, so
+``forward(x)[i]`` equals ``forward(x[i:i+1])[0]`` up to rounding, and bit for
+bit on the OpenBLAS builds tested.
 """
 
 from __future__ import annotations
@@ -16,9 +26,11 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .imaging import LAPLACIAN_KERNEL, Image, ShapeError
+from .imaging import (
+    Image, ShapeError, laplacian_batch, laplacian_batch_adjoint, pad_replicate,
+    pad_replicate_adjoint,
+)
 
 CHARBONNIER_EPS = 1e-3
 
@@ -75,70 +87,45 @@ class RestorerState:
 
 
 # ---------------------------------------------------------------------------
-# Padding / convolution primitives and their adjoints
+# Channel-major convolution and its adjoint
 # ---------------------------------------------------------------------------
 
 
-def _pad_replicate(x):
-    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
-
-
-def _pad_replicate_adjoint(dxp):
-    dx = dxp[:, :, 1:-1, 1:-1].copy()
-    dx[:, :, 0, :] += dxp[:, :, 0, 1:-1]
-    dx[:, :, -1, :] += dxp[:, :, -1, 1:-1]
-    dx[:, :, :, 0] += dxp[:, :, 1:-1, 0]
-    dx[:, :, :, -1] += dxp[:, :, 1:-1, -1]
-    dx[:, :, 0, 0] += dxp[:, :, 0, 0]
-    dx[:, :, 0, -1] += dxp[:, :, 0, -1]
-    dx[:, :, -1, 0] += dxp[:, :, -1, 0]
-    dx[:, :, -1, -1] += dxp[:, :, -1, -1]
-    return dx
+def _im2col(x):
+    """Columns of a (C, B, H, W) activation: a (9C, B*H*W) matrix whose rows
+    run over (c, k, l), the order of ``w.reshape(O, 9C)``."""
+    c, b, h, w = x.shape
+    xp = pad_replicate(x)
+    cols = np.empty((c, 3, 3, b, h, w))
+    for k in range(3):
+        for l in range(3):
+            cols[:, k, l] = xp[:, :, k : k + h, l : l + w]
+    return cols.reshape(9 * c, b * h * w)
 
 
 def _conv3x3(x, w, b):
-    xp = _pad_replicate(x)
-    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B,C,H,W,3,3)
-    out = np.einsum("ockl,bcyxkl->boyx", w, windows, optimize=True)
-    return out + b[None, :, None, None]
+    """(C, B, H, W) -> (O, B, H, W) replicate-padded 3x3 conv: one GEMM."""
+    out = w.reshape(w.shape[0], -1) @ _im2col(x)
+    out += b[:, None]
+    return out.reshape((w.shape[0],) + x.shape[1:])
 
 
-def _conv3x3_backward(x, w, dout):
-    xp = _pad_replicate(x)
-    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))
-    dw = np.einsum("boyx,bcyxkl->ockl", dout, windows, optimize=True)
-    db = dout.sum(axis=(0, 2, 3))
-    h, wd = x.shape[2], x.shape[3]
-    dxp = np.zeros_like(xp)
+def _conv3x3_backward(x, w, dout, need_dx=True):
+    """(dw, db, dx) of ``_conv3x3(x, w, b)`` for output gradient dout; dx is
+    None unless need_dx."""
+    o = w.shape[0]
+    d2 = dout.reshape(o, -1)
+    dw = (d2 @ _im2col(x).T).reshape(w.shape)
+    db = d2.sum(axis=1)
+    if not need_dx:
+        return dw, db, None
+    c, bsz, h, wd = x.shape
+    dcols = (w.reshape(o, -1).T @ d2).reshape(c, 3, 3, bsz, h, wd)
+    dxp = np.zeros((c, bsz, h + 2, wd + 2))
     for k in range(3):
         for l in range(3):
-            dxp[:, :, k : k + h, l : l + wd] += np.einsum(
-                "oc,boyx->bcyx", w[:, :, k, l], dout, optimize=True
-            )
-    return dw, db, _pad_replicate_adjoint(dxp)
-
-
-def _laplacian_batch(x):
-    xp = _pad_replicate(x)
-    h, w = x.shape[2], x.shape[3]
-    out = np.zeros_like(x)
-    for k in range(3):
-        for l in range(3):
-            c = LAPLACIAN_KERNEL[k, l]
-            if c != 0.0:
-                out += c * xp[:, :, k : k + h, l : l + w]
-    return out
-
-
-def _laplacian_batch_adjoint(dout):
-    h, w = dout.shape[2], dout.shape[3]
-    dxp = np.zeros((dout.shape[0], dout.shape[1], h + 2, w + 2))
-    for k in range(3):
-        for l in range(3):
-            c = LAPLACIAN_KERNEL[k, l]
-            if c != 0.0:
-                dxp[:, :, k : k + h, l : l + w] += c * dout
-    return _pad_replicate_adjoint(dxp)
+            dxp[:, :, k : k + h, l : l + wd] += dcols[:, k, l]
+    return dw, db, pad_replicate_adjoint(dxp)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +133,23 @@ def _laplacian_batch_adjoint(dout):
 # ---------------------------------------------------------------------------
 
 
+def _channel_major(x):
+    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+
+
 def _forward_cached(state, x):
+    """Prediction for a (B, 3, H, W) batch, as a (B, 3, H, W) view of a
+    channel-major array, and the channel-major activations ``_backprop``
+    reads."""
     p = state.params
-    a1 = _conv3x3(x, p["w1"], p["b1"])
+    xc = _channel_major(x)
+    a1 = _conv3x3(xc, p["w1"], p["b1"])
     h1 = np.maximum(a1, 0.0)
     a2 = _conv3x3(h1, p["w2"], p["b2"])
     h2 = np.maximum(a2, 0.0)
     residual = _conv3x3(h2, p["w3"], p["b3"])
-    pred = x - residual
-    return pred, (x, a1, h1, a2, h2)
+    pred = xc - residual
+    return pred.transpose(1, 0, 2, 3), (xc, a1, h1, a2, h2)
 
 
 def forward(state: RestorerState, x: np.ndarray) -> np.ndarray:
@@ -166,14 +161,16 @@ def forward(state: RestorerState, x: np.ndarray) -> np.ndarray:
 
 
 def _backprop(state, cache, dpred):
+    """Parameter gradients for dpred, the (B, 3, H, W) gradient of the
+    prediction."""
     x, a1, h1, a2, h2 = cache
     p = state.params
-    dres = -dpred  # pred = x - residual
+    dres = -_channel_major(dpred)  # pred = x - residual
     dw3, db3, dh2 = _conv3x3_backward(h2, p["w3"], dres)
-    da2 = dh2 * (a2 > 0.0)
-    dw2, db2, dh1 = _conv3x3_backward(h1, p["w2"], da2)
-    da1 = dh1 * (a1 > 0.0)
-    dw1, db1, _ = _conv3x3_backward(x, p["w1"], da1)
+    dh2 *= a2 > 0.0
+    dw2, db2, dh1 = _conv3x3_backward(h1, p["w2"], dh2)
+    dh1 *= a1 > 0.0
+    dw1, db1, _ = _conv3x3_backward(x, p["w1"], dh1, need_dx=False)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
 
 
@@ -193,26 +190,36 @@ def _check_shapes(a, b):
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
+def _charbonnier_terms(pred, target, eps=CHARBONNIER_EPS):
+    """Charbonnier loss of pred against target and its gradient in pred."""
+    d = pred - target
+    s = np.sqrt(d * d + eps * eps)
+    return float(np.mean(s)), d / (s * d.size)
+
+
 def charbonnier(pred, target, eps=CHARBONNIER_EPS):
     _check_shapes(pred, target)
-    d = pred - target
-    return float(np.mean(np.sqrt(d * d + eps * eps)))
+    return _charbonnier_terms(pred, target, eps)[0]
 
 
 def _charbonnier_grad(pred, target, eps=CHARBONNIER_EPS):
-    d = pred - target
-    return d / (np.sqrt(d * d + eps * eps) * d.size)
+    return _charbonnier_terms(pred, target, eps)[1]
+
+
+def _edge_terms(pred, target, eps=CHARBONNIER_EPS):
+    """Edge loss (Charbonnier of the Laplacians) of pred against target and
+    its gradient in pred; each Laplacian is taken once."""
+    loss, g_lap = _charbonnier_terms(laplacian_batch(pred), laplacian_batch(target), eps)
+    return loss, laplacian_batch_adjoint(g_lap)
 
 
 def edge_loss(pred, target, eps=CHARBONNIER_EPS):
     _check_shapes(pred, target)
-    return charbonnier(_laplacian_batch(pred), _laplacian_batch(target), eps)
+    return _edge_terms(pred, target, eps)[0]
 
 
 def _edge_loss_grad(pred, target, eps=CHARBONNIER_EPS):
-    lp = _laplacian_batch(pred)
-    lt = _laplacian_batch(target)
-    return _laplacian_batch_adjoint(_charbonnier_grad(lp, lt, eps))
+    return _edge_terms(pred, target, eps)[1]
 
 
 def consistency_loss(out_a, out_b):
@@ -225,31 +232,41 @@ def _consistency_grad(out_a, out_b):
     return np.sign(out_a - out_b) / out_a.size
 
 
+def _restoration_terms(pred, target, eps=CHARBONNIER_EPS):
+    """Charbonnier + edge loss of pred against target and its gradient in
+    pred."""
+    _check_shapes(pred, target)
+    l_char, g_char = _charbonnier_terms(pred, target, eps)
+    l_edge, g_edge = _edge_terms(pred, target, eps)
+    return l_char + l_edge, g_char + g_edge
+
+
+def _loss_grads(state, x, target, prev_out, lam):
+    pred, cache = _forward_cached(state, x)
+    loss, dpred = _restoration_terms(pred, target)
+    l_consist = 0.0
+    if prev_out is not None:
+        l_consist = consistency_loss(pred, prev_out)
+        dpred = dpred + lam * _consistency_grad(pred, prev_out)
+    return loss, l_consist, _backprop(state, cache, dpred)
+
+
 def restoration_loss_grads(state, x, target):
     """Charbonnier + edge loss of forward(state, x) against target, with
     parameter gradients."""
-    pred, cache = _forward_cached(state, x)
-    loss = charbonnier(pred, target) + edge_loss(pred, target)
-    dpred = _charbonnier_grad(pred, target) + _edge_loss_grad(pred, target)
-    return loss, _backprop(state, cache, dpred)
+    loss, _, grads = _loss_grads(state, x, target, None, 0.0)
+    return loss, grads
 
 
 def replay_loss_grads(state, x, target, prev_out, lam):
     """Replay-batch losses: restoration terms plus the lam-weighted consistency
     term against the frozen previous network's output."""
-    pred, cache = _forward_cached(state, x)
-    l_replay = charbonnier(pred, target) + edge_loss(pred, target)
-    dpred = _charbonnier_grad(pred, target) + _edge_loss_grad(pred, target)
-    l_consist = 0.0
-    if prev_out is not None:
-        l_consist = consistency_loss(pred, prev_out)
-        dpred = dpred + lam * _consistency_grad(pred, prev_out)
-    return l_replay, l_consist, _backprop(state, cache, dpred)
+    return _loss_grads(state, x, target, prev_out, lam)
 
 
 def backward(state, x, target, prev_out=None, lam=0.0):
     """Gradients of the total per-batch loss (restoration + lam * consistency)."""
-    l_replay, l_consist, grads = replay_loss_grads(state, x, target, prev_out, lam)
+    l_replay, l_consist, grads = _loss_grads(state, x, target, prev_out, lam)
     return l_replay + lam * l_consist, grads
 
 
@@ -295,7 +312,7 @@ def grad_check(state, x, target, prev_out=None, lam=0.0, n_samples=200,
     def loss_at(vec):
         s = state.copy()
         s.set_flat_params(vec)
-        l_rep, l_con, _ = replay_loss_grads(s, x, target, prev_out, lam)
+        l_rep, l_con, _ = _loss_grads(s, x, target, prev_out, lam)
         return l_rep + lam * l_con
 
     rng = np.random.default_rng(seed)

@@ -79,6 +79,52 @@ def test_missing_required_dataset_key(tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_BAD_KEY
 
 
+@pytest.mark.parametrize("line", ["a.angle_mean=abc", "b.density=lots",
+                                  "a.pair_count=1.5", "seed=x"])
+def test_non_numeric_spec_value_exits_2(tmp_path, capsys, line):
+    path = tmp_path / "bad.txt"
+    key = line.split("=")[0]
+    path.write_text("\n".join(l for l in SPEC.splitlines()
+                              if not l.startswith(key + "=")) + f"\n{line}\n")
+    code = main(["gen", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_KEY
+    assert str(path) in err and repr(key) in err
+
+
+MANIFEST = """\
+method=clgid
+seed=3
+iterations=4
+batch_size=2
+lambda=1.0
+threshold=0.4
+floor=0.05
+no_speedup=0
+no_reuse=0
+no_selective=0
+no_replay=0
+no_distill=0
+""" + "".join(f"spec.{line}\n" for line in SPEC.splitlines()[1:])
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("method", None), ("iterations", None), ("seed", "abc"),
+    ("lambda", "one"), ("no_reuse", "yes"), ("spec.a.angle_mean", "abc"),
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, key, bad):
+    lines = [l for l in MANIFEST.splitlines() if not l.startswith(key + "=")]
+    if bad is not None:
+        lines.append(f"{key}={bad}")
+    path = tmp_path / "manifest.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_KEY
+    assert str(path) in err and repr(key.removeprefix("spec.")) in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # gen / similarity / cost
 # ---------------------------------------------------------------------------

@@ -190,7 +190,30 @@ def test_teacher_forward_only_when_distilling(monkeypatch, lam):
     teacher = pipeline.restorer.RestorerState.random_init(2)
     state = pipeline.restorer.RestorerState.random_init(1)
     pipeline.train_stage(state, teacher, ds.pairs, ds.pairs, cfg, 5, 2)
-    assert len(forwards) == (0 if lam == 0.0 else 5)
+    # with a teacher: one forward per batch_size chunk of the 3 replay pairs,
+    # however many steps the stage takes
+    assert len(forwards) == (0 if lam == 0.0 else 2)
+
+
+def test_cached_teacher_output_matches_per_step_forward(monkeypatch):
+    seen = []
+    real_loss = pipeline.restorer.replay_loss_grads
+
+    def spy(state, x, target, prev_out, lam):
+        seen.append((x, prev_out))
+        return real_loss(state, x, target, prev_out, lam)
+
+    monkeypatch.setattr(pipeline.restorer, "replay_loss_grads", spy)
+    ds = make_dataset(dataset_spec("a", 5, pairs=5, size=16))
+    cfg = _tiny_cfg(batch_size=2, lam=1.0)
+    teacher = pipeline.restorer.RestorerState.random_init(2)
+    state = pipeline.restorer.RestorerState.random_init(1)
+    pipeline.train_stage(state, teacher, ds.pairs, ds.pairs, cfg, 7, 2)
+    assert len(seen) == 7
+    for x_rep, prev_out in seen:
+        want = pipeline.restorer.forward(teacher, x_rep)
+        assert prev_out.shape == want.shape
+        assert np.allclose(prev_out, want, rtol=0.0, atol=1e-12)
 
 
 def test_lambda_zero_drops_consistency_from_total():

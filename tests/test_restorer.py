@@ -56,6 +56,27 @@ def conv_oracle(x, w, b):
     return out
 
 
+def conv_backward_oracle(x, w, dout):
+    """Scalar-loop adjoint of ``conv_oracle``: (dw, db, dx)."""
+    bsz, cin, h, wd = x.shape
+    cout = w.shape[0]
+    dw, db, dx = np.zeros(w.shape), np.zeros(cout), np.zeros(x.shape)
+    for n in range(bsz):
+        for o in range(cout):
+            for y in range(h):
+                for xx in range(wd):
+                    g = dout[n, o, y, xx]
+                    db[o] += g
+                    for c in range(cin):
+                        for k in range(3):
+                            for l in range(3):
+                                yy = min(max(y + k - 1, 0), h - 1)
+                                zz = min(max(xx + l - 1, 0), wd - 1)
+                                dw[o, c, k, l] += g * x[n, c, yy, zz]
+                                dx[n, c, yy, zz] += g * w[o, c, k, l]
+    return dw, db, dx
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
@@ -78,12 +99,33 @@ def test_forward_shape_checked(rng):
         forward(RestorerState.zeros(), rng.uniform(0, 1, (2, 1, 8, 8)))
 
 
+def _channel_major(a):
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
 def test_conv_matches_scalar_oracle(rng):
-    x = rng.normal(0, 1, (2, 3, 6, 6))
-    w = rng.normal(0, 1, (4, 3, 3, 3))
+    x = rng.normal(0, 1, (3, 5, 7, 6))  # odd, non-square: B=3, C=5, 7x6
+    w = rng.normal(0, 1, (4, 5, 3, 3))
     b = rng.normal(0, 1, 4)
-    assert np.allclose(restorer._conv3x3(x, w, b), conv_oracle(x, w, b),
+    out = restorer._conv3x3(_channel_major(x), w, b)  # channel-major layout
+    assert np.allclose(out.transpose(1, 0, 2, 3), conv_oracle(x, w, b),
                        atol=1e-12)
+
+
+def test_conv_backward_matches_scalar_oracle(rng):
+    x = rng.normal(0, 1, (3, 5, 7, 6))
+    w = rng.normal(0, 1, (4, 5, 3, 3))
+    dout = rng.normal(0, 1, (3, 4, 7, 6))
+    dw, db, dx = restorer._conv3x3_backward(_channel_major(x), w,
+                                            _channel_major(dout))
+    want_dw, want_db, want_dx = conv_backward_oracle(x, w, dout)
+    assert np.allclose(dw, want_dw, atol=1e-12)
+    assert np.allclose(db, want_db, atol=1e-12)
+    assert np.allclose(dx.transpose(1, 0, 2, 3), want_dx, atol=1e-12)
+    dw1, db1, none = restorer._conv3x3_backward(
+        _channel_major(x), w, _channel_major(dout), need_dx=False)
+    assert none is None
+    assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
 
 
 def test_param_count():
