@@ -84,6 +84,16 @@ def _typed(path, key, value, convert):
                        EXIT_BAD_KEY) from None
 
 
+def _positive(convert):
+    """``convert`` that also rejects values that are not > 0."""
+    def parse(value):
+        out = convert(value)
+        if not out > 0:
+            raise ValueError(value)
+        return out
+    return parse
+
+
 def _spec_key_ok(key, ids):
     if key in _GLOBAL_KEYS:
         return True
@@ -120,19 +130,22 @@ def parse_stream_spec(raw, path):
             raise CliError(
                 f"{path}: dataset {ds_id!r} missing required key "
                 f"'{ds_id}.angle_mean'", EXIT_BAD_KEY)
-        rain = RainParams(
-            angle_mean=dval(ds_id, "angle_mean", None),
-            **{k: dval(ds_id, k, v) for k, v in _RAIN_DEFAULTS.items()},
-        )
-        specs.append(DatasetSpec(
-            id=ds_id,
-            pair_count=dval(ds_id, "pair_count", g_pairs, int),
-            image_size=dval(ds_id, "image_size", g_size, int),
-            seed=dval(ds_id, "seed",
-                      pipeline.derive_seed(g_seed, "dataset", idx), int),
-            rain=rain,
-        ))
-    return make_stream(specs), g_seed, raw
+        angle_mean = dval(ds_id, "angle_mean", None)
+        rain = {k: dval(ds_id, k, v) for k, v in _RAIN_DEFAULTS.items()}
+        pair_count = dval(ds_id, "pair_count", g_pairs, int)
+        image_size = dval(ds_id, "image_size", g_size, int)
+        seed = dval(ds_id, "seed", pipeline.derive_seed(g_seed, "dataset", idx), int)
+        try:
+            specs.append(DatasetSpec(
+                id=ds_id, pair_count=pair_count, image_size=image_size, seed=seed,
+                rain=RainParams(angle_mean=angle_mean, **rain),
+            ))
+        except synthdata.ConfigError as exc:
+            raise CliError(f"{path}: dataset {ds_id!r}: {exc}", EXIT_BAD_KEY) from None
+    try:
+        return make_stream(specs), g_seed, raw
+    except synthdata.ConfigError as exc:
+        raise CliError(f"{path}: key 'datasets': {exc}", EXIT_BAD_KEY) from None
 
 
 def build_stage_config(args, seed):
@@ -257,15 +270,9 @@ def cmd_similarity(args):
 
 
 def cmd_cost(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    naive = costs.replay_cost_naive(sizes)
-    closed = costs.replay_cost_reuse_closed(sizes)
-    counted = costs.replay_cost_reuse_counted(sizes)
-    print(f"replay calls: naive={naive} closed={closed:.1f} counted={counted}")
-    if len(set(sizes)) == 1 and len(sizes) >= 4:
-        ok, worst, _ = costs.verify_log_bound(sizes[0], max_stages=len(sizes))
-        print(f"harmonic bound check up to N={len(sizes)}: "
-              f"{'pass' if ok else 'FAIL'} (worst ratio {worst:.3f})")
+    sizes = [_typed("--sizes", f"M_{n}", s, _positive(int))
+             for n, s in enumerate(args.sizes.split(","), start=1)]
+    cc = None
     if args.constants:
         kv = parse_kv_file(args.constants,
                            allowed_check=lambda k: k in _CONSTANT_KEYS)
@@ -274,7 +281,17 @@ def cmd_cost(args):
             raise CliError(
                 f"{args.constants}: missing constants {sorted(missing)}",
                 EXIT_BAD_KEY)
-        cc = costs.CostConstants(**{k: float(v) for k, v in kv.items()})
+        cc = costs.CostConstants(**{
+            k: _typed(args.constants, k, v, _positive(float)) for k, v in kv.items()})
+    naive = costs.replay_cost_naive(sizes)
+    closed = costs.replay_cost_reuse_closed(sizes)
+    counted = costs.replay_cost_reuse_counted(sizes)
+    print(f"replay calls: naive={naive} closed={closed:.1f} counted={counted}")
+    if len(set(sizes)) == 1 and len(sizes) >= 4:
+        ok, worst, _ = costs.verify_log_bound(sizes[0], max_stages=len(sizes))
+        print(f"harmonic bound check up to N={len(sizes)}: "
+              f"{'pass' if ok else 'FAIL'} (worst ratio {worst:.3f})")
+    if cc is not None:
         rep = costs.appendix_costs(cc, sizes)
         print(f"FLOPs_GAN={rep.flops_gan:.6g} T_GAN={rep.t_gan:.6g}")
         print(f"FLOPs_Replay={rep.flops_replay:.6g} T_Replay={rep.t_replay:.6g}")

@@ -86,15 +86,12 @@ class Image:
 class HogConfig:
     cell_size: int = 8
     bins: int = 9
-    signed: bool = False
 
     def __post_init__(self):
         if self.cell_size < 2:
             raise ValueError("cell_size must be >= 2")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
-        if self.signed:
-            raise NotImplementedError("only unsigned orientations are supported")
 
 
 @dataclass(frozen=True)

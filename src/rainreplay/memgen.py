@@ -152,17 +152,18 @@ def sample_rain(gen: MemoryGenerator, z: np.ndarray, size: int) -> Image:
     if z.shape != (gen.latent_dim,):
         raise ShapeError(f"latent must have shape ({gen.latent_dim},), got {z.shape}")
     rng = np.random.default_rng(_latent_seed(z))
-    canvas = np.zeros((size, size))
     bin_width = 180.0 / ANGLE_BINS
+    streaks = []
     for _ in range(streak_count(gen.density, size)):
         b = rng.choice(ANGLE_BINS, p=gen.angle_hist)
         angle = (b + rng.uniform()) * bin_width
-        length = float(np.clip(rng.normal(gen.length_mean, gen.length_std), 2.0, size))
-        intensity = float(
-            np.clip(rng.normal(gen.intensity_mean, gen.intensity_std), 0.0, 1.0)
-        )
-        draw_streak(canvas, rng.uniform(0, size), rng.uniform(0, size),
-                    angle, length, gen.width, intensity)
+        length = float(min(max(rng.normal(gen.length_mean, gen.length_std), 2.0), size))
+        intensity = min(max(rng.normal(gen.intensity_mean, gen.intensity_std), 0.0), 1.0)
+        cy, cx = rng.uniform(0, size), rng.uniform(0, size)
+        streaks.append((cy, cx, angle, length, intensity))
+    cy, cx, angle, length, intensity = np.array(streaks, dtype=np.float64).reshape(-1, 5).T
+    canvas = np.zeros((size, size))
+    draw_streak(canvas, cy, cx, angle, length, gen.width, intensity)
     return Image(np.clip(canvas, 0.0, 1.0))
 
 

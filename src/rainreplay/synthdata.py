@@ -114,16 +114,28 @@ def gen_background(seed: int, size: int) -> Image:
     return Image(data)
 
 
+# Box pixels rasterised per vectorised step of draw_streak: larger chunks save
+# Python overhead but hold more per-pixel temporaries at once.
+_PIXEL_CHUNK = 4096
+
+
 def streak_count(density: float, size: int) -> int:
     return int(round(density * size * size / 1024.0))
 
 
 def draw_streak(canvas, cy, cx, angle_deg, length, width, intensity):
-    """Accumulate one anti-aliased line segment onto a 2-D canvas (in place).
+    """Accumulate anti-aliased line segments onto a 2-D canvas (in place).
 
-    Coverage falls off linearly over one pixel past the half-width, computed
-    from exact point-to-segment distance over the streak's bounding box.
+    ``cy``, ``cx``, ``angle_deg``, ``length`` and ``intensity`` are scalars or
+    1-D arrays with one entry per streak; ``width`` is shared. Coverage falls
+    off linearly over one pixel past the half-width, computed from exact
+    point-to-segment distance over each streak's bounding box. Every pixel sums
+    its streaks in the order given, onto the canvas's own value, so one call
+    over k streaks equals k one-streak calls bit for bit.
     """
+    cy, cx, angle_deg, length, intensity = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=np.float64))
+          for v in (cy, cx, angle_deg, length, intensity)))
     size_y, size_x = canvas.shape
     ang = np.radians(angle_deg)
     # angle_deg is the streak's gradient (normal) orientation; the segment
@@ -136,38 +148,94 @@ def draw_streak(canvas, cy, cx, angle_deg, length, width, intensity):
     half = length / 2.0
     y0, x0 = cy - dy * half, cx - dx * half
     y1, x1 = cy + dy * half, cx + dx * half
-
-    margin = width / 2.0 + 1.5
-    ylo = max(0, int(np.floor(min(y0, y1) - margin)))
-    yhi = min(size_y, int(np.ceil(max(y0, y1) + margin)) + 1)
-    xlo = max(0, int(np.floor(min(x0, x1) - margin)))
-    xhi = min(size_x, int(np.ceil(max(x0, x1) + margin)) + 1)
-    if ylo >= yhi or xlo >= xhi:
-        return
-
-    yy, xx = np.mgrid[ylo:yhi, xlo:xhi].astype(np.float64)
     vy, vx = y1 - y0, x1 - x0
     seg_len2 = vy * vy + vx * vx
-    if seg_len2 < 1e-12:
-        t = np.zeros_like(yy)
-    else:
-        t = np.clip(((yy - y0) * vy + (xx - x0) * vx) / seg_len2, 0.0, 1.0)
-    dist = np.hypot(yy - (y0 + t * vy), xx - (x0 + t * vx))
-    coverage = np.clip(width / 2.0 + 0.5 - dist, 0.0, 1.0)
-    canvas[ylo:yhi, xlo:xhi] += intensity * coverage
+    # A zero-length segment is its start point (t = 0 at every pixel), which
+    # a zero direction over a unit length gives exactly.
+    degenerate = seg_len2 < 1e-12
+    vy, vx = np.where(degenerate, 0.0, vy), np.where(degenerate, 0.0, vx)
+    seg_len2 = np.where(degenerate, 1.0, seg_len2)
+
+    margin = width / 2.0 + 1.5
+    ylo = np.maximum(0, np.floor(np.minimum(y0, y1) - margin).astype(np.int64))
+    yhi = np.minimum(size_y, np.ceil(np.maximum(y0, y1) + margin).astype(np.int64) + 1)
+    xlo = np.maximum(0, np.floor(np.minimum(x0, x1) - margin).astype(np.int64))
+    xhi = np.minimum(size_x, np.ceil(np.maximum(x0, x1) + margin).astype(np.int64) + 1)
+    box_w = np.maximum(xhi - xlo, 0)
+    npix = np.maximum(yhi - ylo, 0) * box_w
+    # The boxes' pixels are numbered in streak order, row-major within a box,
+    # and rasterised _PIXEL_CHUNK at a time; a chunk may split a streak.
+    ends = np.cumsum(npix)
+    starts = ends - npix
+    total = int(npix.sum())
+    ints = np.stack([starts, box_w, ylo, xlo])
+    floats = np.stack([y0, x0, vy, vx, seg_len2, intensity])
+    # add.at on a flat contiguous buffer is fast; a strided view is copied in
+    # and written back, so any 2-D canvas works.
+    work = np.ascontiguousarray(canvas)
+    flat = work.reshape(-1)
+    cover = width / 2.0 + 0.5
+    for p0 in range(0, total, _PIXEL_CHUNK):
+        p1 = min(p0 + _PIXEL_CHUNK, total)
+        ks = slice(np.searchsorted(ends, p0, side="right"),
+                   np.searchsorted(starts, p1, side="left"))
+        counts = np.minimum(ends[ks], p1) - np.maximum(starts[ks], p0)
+        _draw_pixels(flat, size_x, np.arange(p0, p1), counts, ints[:, ks],
+                     floats[:, ks], cover)
+    if work is not canvas:
+        canvas[...] = work
+
+
+def _draw_pixels(flat, size_x, pixels, counts, ints, floats, cover):
+    """Add the coverage of numbered box pixels to a flat canvas (in place).
+
+    ``counts`` gives how many of ``pixels`` belong to each streak in turn;
+    ``ints``/``floats`` hold those streaks' boxes and segments. Each per-pixel
+    array is built just before its first use and freed on return, which keeps
+    a chunk's peak memory near nine arrays of its size.
+    """
+    def per_pixel(values):
+        return values.repeat(counts)
+
+    start, box_w, ylo, xlo = ints
+    y0, x0, vy, vx, seg_len2, intensity = floats
+    iy, ix = np.divmod(pixels - per_pixel(start), per_pixel(box_w))
+    del pixels
+    iy += per_pixel(ylo)
+    ix += per_pixel(xlo)
+    ky0, kvy = per_pixel(y0), per_pixel(vy)
+    t = (iy - ky0) * kvy
+    kx0, kvx = per_pixel(x0), per_pixel(vx)
+    t += (ix - kx0) * kvx
+    t /= per_pixel(seg_len2)
+    np.clip(t, 0.0, 1.0, out=t)
+    ky0 += t * kvy
+    kx0 += t * kvx
+    del kvy, kvx
+    dist = np.hypot(np.subtract(iy, ky0, out=ky0), np.subtract(ix, kx0, out=kx0), out=t)
+    del ky0, kx0
+    coverage = np.clip(np.subtract(cover, dist, out=dist), 0.0, 1.0, out=dist)
+    coverage *= per_pixel(intensity)
+    iy *= size_x
+    iy += ix
+    # add.at is unbuffered and runs in index order, which is streak order, so
+    # each pixel sums its streaks as a per-streak loop would.
+    np.add.at(flat, iy, coverage)
 
 
 def render_rain_layer(params: RainParams, size: int, seed: int) -> Image:
     """Rasterize a 1-channel additive streak layer, saturated at 1."""
     rng = np.random.default_rng(seed)
-    canvas = np.zeros((size, size))
+    streaks = []
     for _ in range(streak_count(params.density, size)):
         angle = rng.normal(params.angle_mean, params.angle_std) % 180.0
-        length = float(np.clip(rng.normal(params.length_mean, params.length_std), 2.0, size))
-        intensity = float(np.clip(rng.normal(params.intensity_mean, params.intensity_std), 0.0, 1.0))
-        cy = rng.uniform(0, size)
-        cx = rng.uniform(0, size)
-        draw_streak(canvas, cy, cx, angle, length, params.width, intensity)
+        length = float(min(max(rng.normal(params.length_mean, params.length_std), 2.0), size))
+        intensity = min(max(rng.normal(params.intensity_mean, params.intensity_std), 0.0), 1.0)
+        cy, cx = rng.uniform(0, size), rng.uniform(0, size)
+        streaks.append((cy, cx, angle, length, intensity))
+    cy, cx, angle, length, intensity = np.array(streaks, dtype=np.float64).reshape(-1, 5).T
+    canvas = np.zeros((size, size))
+    draw_streak(canvas, cy, cx, angle, length, params.width, intensity)
     return Image(np.clip(canvas, 0.0, 1.0))
 
 

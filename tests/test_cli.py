@@ -92,6 +92,31 @@ def test_non_numeric_spec_value_exits_2(tmp_path, capsys, line):
     assert str(path) in err and repr(key) in err
 
 
+@pytest.mark.parametrize("line, field", [
+    ("a.density=0", "density"), ("a.width=0.5", "width"),
+    ("a.pair_count=0", "pair_count"), ("image_size=8", "image_size"),
+])
+def test_out_of_range_spec_value_exits_2(tmp_path, capsys, line, field):
+    path = tmp_path / "bad.txt"
+    key = line.split("=")[0]
+    path.write_text("\n".join(l for l in SPEC.splitlines()
+                              if not l.startswith(key + "=")) + f"\n{line}\n")
+    code = main(["gen", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_KEY
+    assert str(path) in err and "dataset 'a'" in err and field in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_duplicate_dataset_ids_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("datasets=a,a\na.angle_mean=30\n")
+    code = main(["gen", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_KEY
+    assert str(path) in err and "'datasets'" in err
+
+
 MANIFEST = """\
 method=clgid
 seed=3
@@ -183,6 +208,27 @@ def test_cost_missing_constant(tmp_path, capsys):
     consts.write_text("p_g=1.0\n")
     assert main(["cost", "--sizes", "10,10",
                  "--constants", str(consts)]) == EXIT_BAD_KEY
+
+
+@pytest.mark.parametrize("sizes, bad", [("4,x", "M_2"), ("4,0", "M_2"),
+                                        ("-1,4", "M_1"), ("4,,4", "M_2")])
+def test_cost_bad_size_exits_2_before_output(capsys, sizes, bad):
+    assert main(["cost", f"--sizes={sizes}"]) == EXIT_BAD_KEY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--sizes" in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2.5", "nan"])
+def test_cost_bad_constant_exits_2_before_output(tmp_path, capsys, value):
+    consts = tmp_path / "c.txt"
+    consts.write_text("".join(f"{k}={value if k == 'e_g' else 1.0}\n"
+                              for k in sorted(cli._CONSTANT_KEYS)))
+    assert main(["cost", "--sizes", "10,10",
+                 "--constants", str(consts)]) == EXIT_BAD_KEY
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert str(consts) in err and "'e_g'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rainreplay import imaging, synthdata
+from rainreplay import imaging, memgen, synthdata
 from rainreplay.imaging import hog, kl_divergence, read_ppm
 from rainreplay.synthdata import (
     ConfigError, DatasetSpec, gen_background, make_dataset, make_holdout,
@@ -152,3 +156,163 @@ def test_spec_validation():
         DatasetSpec(id="x", pair_count=1, seed=1, image_size=8, rain=rain_params())
     with pytest.raises(ConfigError):
         rain_params(density=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# the vectorised rasteriser
+# ---------------------------------------------------------------------------
+
+
+def _oracle_streak(canvas, cy, cx, angle_deg, length, width, intensity):
+    """One streak at a time, written as a plain per-streak loop body; the
+    vectorised draw_streak must match it bit for bit."""
+    size_y, size_x = canvas.shape
+    ang = np.radians(angle_deg)
+    dy, dx = np.cos(ang), -np.sin(ang)
+    half = length / 2.0
+    y0, x0 = cy - dy * half, cx - dx * half
+    y1, x1 = cy + dy * half, cx + dx * half
+
+    margin = width / 2.0 + 1.5
+    ylo = max(0, int(np.floor(min(y0, y1) - margin)))
+    yhi = min(size_y, int(np.ceil(max(y0, y1) + margin)) + 1)
+    xlo = max(0, int(np.floor(min(x0, x1) - margin)))
+    xhi = min(size_x, int(np.ceil(max(x0, x1) + margin)) + 1)
+    if ylo >= yhi or xlo >= xhi:
+        return
+
+    yy, xx = np.mgrid[ylo:yhi, xlo:xhi].astype(np.float64)
+    vy, vx = y1 - y0, x1 - x0
+    seg_len2 = vy * vy + vx * vx
+    if seg_len2 < 1e-12:
+        t = np.zeros_like(yy)
+    else:
+        t = np.clip(((yy - y0) * vy + (xx - x0) * vx) / seg_len2, 0.0, 1.0)
+    dist = np.hypot(yy - (y0 + t * vy), xx - (x0 + t * vx))
+    coverage = np.clip(width / 2.0 + 0.5 - dist, 0.0, 1.0)
+    canvas[ylo:yhi, xlo:xhi] += intensity * coverage
+
+
+def _oracle_layer(params, size, seed):
+    rng = np.random.default_rng(seed)
+    canvas = np.zeros((size, size))
+    for _ in range(streak_count(params.density, size)):
+        angle = rng.normal(params.angle_mean, params.angle_std) % 180.0
+        length = float(np.clip(rng.normal(params.length_mean, params.length_std), 2.0, size))
+        intensity = float(np.clip(rng.normal(params.intensity_mean, params.intensity_std),
+                                  0.0, 1.0))
+        cy = rng.uniform(0, size)
+        cx = rng.uniform(0, size)
+        _oracle_streak(canvas, cy, cx, angle, length, params.width, intensity)
+    return np.clip(canvas, 0.0, 1.0)
+
+
+def _oracle_sample(gen, z, size):
+    rng = np.random.default_rng(memgen._latent_seed(z))
+    canvas = np.zeros((size, size))
+    bin_width = 180.0 / memgen.ANGLE_BINS
+    for _ in range(streak_count(gen.density, size)):
+        b = rng.choice(memgen.ANGLE_BINS, p=gen.angle_hist)
+        angle = (b + rng.uniform()) * bin_width
+        length = float(np.clip(rng.normal(gen.length_mean, gen.length_std), 2.0, size))
+        intensity = float(np.clip(rng.normal(gen.intensity_mean, gen.intensity_std),
+                                  0.0, 1.0))
+        _oracle_streak(canvas, rng.uniform(0, size), rng.uniform(0, size),
+                       angle, length, gen.width, intensity)
+    return np.clip(canvas, 0.0, 1.0)
+
+
+# Heavy rain, zero angle spread, wide streaks, and long streaks that cross the
+# border at every size.
+ORACLE_STYLES = {
+    "heavy": rain_params(angle=30.0, density=60.0, intensity=0.85),
+    "no-spread": rain_params(angle=90.0, angle_std=0.0, density=20.0),
+    "wide": rain_params(angle=150.0, width=2.5, density=30.0),
+    "long": rain_params(angle=60.0, length=40.0, density=12.0),
+}
+
+
+@pytest.mark.parametrize("style", sorted(ORACLE_STYLES))
+@pytest.mark.parametrize("size", [16, 24, 48, 64])
+def test_render_rain_layer_matches_per_streak_oracle(style, size):
+    params = ORACLE_STYLES[style]
+    if style == "heavy":
+        assert streak_count(params.density, 64) > 200
+    for seed in range(20):
+        layer = render_rain_layer(params, size, seed)
+        assert np.array_equal(layer.data[:, :, 0], _oracle_layer(params, size, seed))
+
+
+@pytest.mark.parametrize("size", [16, 40, 64])
+def test_sample_rain_matches_per_streak_oracle(size):
+    hist = np.arange(1.0, memgen.ANGLE_BINS + 1.0)
+    for width, density in ((1.0, 20.0), (2.5, 60.0)):
+        gen = memgen.MemoryGenerator(
+            id="g", angle_hist=hist / hist.sum(), length_mean=14.0, length_std=6.0,
+            width=width, density=density, intensity_mean=0.6, intensity_std=0.3)
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            z = rng.standard_normal(gen.latent_dim)
+            layer = memgen.sample_rain(gen, z, size)
+            assert np.array_equal(layer.data[:, :, 0], _oracle_sample(gen, z, size))
+
+
+def test_draw_streak_scalar_call_and_zero_streaks():
+    canvas = np.full((12, 10), 0.25)
+    want = canvas.copy()
+    _oracle_streak(want, 5.5, 4.0, 33.0, 7.0, 1.5, 0.8)
+    synthdata.draw_streak(canvas, 5.5, 4.0, 33.0, 7.0, 1.5, 0.8)
+    assert np.array_equal(canvas, want)
+    empty = np.array([])
+    synthdata.draw_streak(canvas, empty, empty, empty, empty, 1.5, empty)
+    assert np.array_equal(canvas, want)
+
+
+def test_draw_streak_long_and_degenerate_streaks():
+    # Two streaks whose boxes each span several chunks, then one of length
+    # 1e-7, which the zero-length guard draws as a dot.
+    canvas = np.random.default_rng(0).uniform(0.0, 0.5, (128, 128))
+    want = canvas.copy()
+    streaks = [(64.0, 64.0, 45.0, 90.0, 0.7), (60.0, 70.0, 135.0, 90.0, 0.4),
+               (64.3, 20.7, 10.0, 1e-7, 0.9)]
+    for s in streaks:
+        _oracle_streak(want, *s[:4], 6.0, s[4])
+    cy, cx, ang, length, inten = np.array(streaks).T
+    synthdata.draw_streak(canvas, cy, cx, ang, length, 6.0, inten)
+    side = 2 * (45.0 * np.sin(np.radians(45.0)) + 6.0 / 2 + 1.5)
+    assert side ** 2 > synthdata._PIXEL_CHUNK
+    assert np.array_equal(canvas, want)
+
+
+_coord = st.floats(-40.0, 80.0, allow_nan=False)
+_streak = st.tuples(_coord, _coord, st.floats(0.0, 360.0),
+                    st.floats(0.0, 70.0) | st.sampled_from([0.0, 1e-7]),
+                    st.floats(0.0, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(streaks=st.lists(_streak, min_size=1, max_size=12),
+       width=st.floats(1.0, 4.0), chunk=st.sampled_from([1, 7, 100, None]),
+       view=st.sampled_from(["whole", "rows", "strided"]),
+       seed=st.integers(0, 2**16))
+def test_one_call_equals_streak_by_streak_calls(streaks, width, chunk, view, seed):
+    """k streaks in one draw_streak call add up exactly as k one-streak calls,
+    onto a non-zero canvas, a contiguous view or a strided view, at any chunk
+    size; nothing outside the view changes."""
+    base = np.random.default_rng(seed).uniform(0.0, 1.0, (70, 60))
+    batch, single = base.copy(), base.copy()
+
+    def canvas(a):
+        return {"whole": a, "rows": a[10:50], "strided": a[5:65:2, 50:3:-3]}[view]
+
+    cy, cx, ang, length, inten = np.array(streaks).T
+    chunk = chunk or synthdata._PIXEL_CHUNK
+    with mock.patch.object(synthdata, "_PIXEL_CHUNK", chunk):
+        synthdata.draw_streak(canvas(batch), cy, cx, ang, length, width, inten)
+        for s in streaks:
+            synthdata.draw_streak(canvas(single), *s[:4], width, s[4])
+    assert np.array_equal(batch, single)
+    want = base.copy()
+    for s in streaks:
+        _oracle_streak(canvas(want), *s[:4], width, s[4])
+    assert np.array_equal(batch, want)
