@@ -148,6 +148,16 @@ def parse_stream_spec(raw, path):
         raise CliError(f"{path}: key 'datasets': {exc}", EXIT_BAD_KEY) from None
 
 
+def require_training_pairs(stream, path):
+    """Reject a dataset whose training split would be empty: ``run`` and
+    ``similarity`` train or fit on it, and one pair is all test."""
+    for spec in stream:
+        if spec.pair_count < 2:
+            raise CliError(
+                f"{path}: dataset {spec.id!r}: pair_count must be >= 2 for a "
+                f"training split, got {spec.pair_count}", EXIT_BAD_KEY)
+
+
 def build_stage_config(args, seed):
     cfg = pipeline.StageConfig(
         iterations=args.iterations,
@@ -232,6 +242,7 @@ def cmd_run(args):
             f"unknown method {args.method!r}; expected one of {METHODS}",
             EXIT_BAD_METHOD)
     stream, spec_seed, spec_raw = parse_stream_spec(spec_raw, origin)
+    require_training_pairs(stream, origin)
     seed = args.seed if args.seed is not None else spec_seed
     cfg = build_stage_config(args, seed)
     if args.method == "individual":
@@ -250,6 +261,7 @@ def cmd_run(args):
 
 def cmd_similarity(args):
     stream, spec_seed, _ = parse_stream_spec(parse_kv_file(args.config), args.config)
+    require_training_pairs(stream, args.config)
     seed = args.seed if args.seed is not None else spec_seed
     run_defaults = build_parser().parse_args(["run", "--out", os.devnull])
     cfg = build_stage_config(run_defaults, seed)

@@ -132,22 +132,6 @@ def replay_cost_reuse_closed(sizes) -> float:
     return total
 
 
-def replay_cost_reuse_retained(sizes) -> float:
-    """Closed-form reuse cost under the cache's surplus-retention rule.
-
-    Slot j (created at stage j+2) keeps its largest build, so its cumulative
-    fresh calls are the running max of its real-valued requirement
-    max_{n >= j+2} M_n/(n-1). For nondecreasing per-slot requirements this
-    telescopes to the same value as replay_cost_reuse_closed; for
-    shrink-then-grow streams the retained surplus makes it strictly smaller.
-    """
-    n_stages = len(sizes)
-    total = 0.0
-    for j in range(n_stages - 1):
-        total += max(sizes[n - 1] / (n - 1) for n in range(j + 2, n_stages + 1))
-    return total
-
-
 def replay_cost_reuse_counted(sizes) -> int:
     """Integer-split cache simulation: exactly the calls the replay cache makes
     (surplus cached samples are retained across stages)."""
@@ -161,11 +145,6 @@ def replay_cost_reuse_counted(sizes) -> int:
             total += delta
             cached[i] += delta
     return total
-
-
-def rounding_slack(n_stages: int) -> int:
-    """Integer-split rounding slack: up to (n-1) per stage."""
-    return sum(n - 1 for n in range(2, n_stages + 1))
 
 
 def harmonic_bound(m: float, n_stages: int) -> float:

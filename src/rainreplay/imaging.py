@@ -222,8 +222,15 @@ def pad_replicate(x: np.ndarray) -> np.ndarray:
     h, w = x.shape[-2:]
     xp = np.empty(x.shape[:-2] + (h + 2, w + 2))
     xp[..., 1:-1, 1:-1] = x
-    xp[..., 0, 1:-1] = x[..., 0, :]
-    xp[..., -1, 1:-1] = x[..., -1, :]
+    return fill_replicate_border(xp)
+
+
+def fill_replicate_border(xp: np.ndarray) -> np.ndarray:
+    """In place: set the one-pixel border of xp's last two axes to copies of
+    the nearest interior pixels, so xp is ``pad_replicate`` of its interior.
+    Returns xp."""
+    xp[..., 0, 1:-1] = xp[..., 1, 1:-1]
+    xp[..., -1, 1:-1] = xp[..., -2, 1:-1]
     xp[..., :, 0] = xp[..., :, 1]
     xp[..., :, -1] = xp[..., :, -2]
     return xp
@@ -231,16 +238,27 @@ def pad_replicate(x: np.ndarray) -> np.ndarray:
 
 def pad_replicate_adjoint(dxp: np.ndarray) -> np.ndarray:
     """Adjoint of ``pad_replicate``: fold the border back onto the edge pixels."""
-    dx = dxp[..., 1:-1, 1:-1].copy()
-    dx[..., 0, :] += dxp[..., 0, 1:-1]
-    dx[..., -1, :] += dxp[..., -1, 1:-1]
-    dx[..., :, 0] += dxp[..., 1:-1, 0]
-    dx[..., :, -1] += dxp[..., 1:-1, -1]
-    dx[..., 0, 0] += dxp[..., 0, 0]
-    dx[..., 0, -1] += dxp[..., 0, -1]
-    dx[..., -1, 0] += dxp[..., -1, 0]
-    dx[..., -1, -1] += dxp[..., -1, -1]
-    return dx
+    return fold_replicate_border(dxp.copy())[..., 1:-1, 1:-1]
+
+
+def fold_replicate_border(dxp: np.ndarray) -> np.ndarray:
+    """In place: the adjoint of ``fill_replicate_border``. Adds each border
+    value of dxp's last two axes onto the interior pixel it was copied from,
+    then zeroes the border, so the interior holds the gradient of the
+    unpadded array. Returns dxp."""
+    dxp[..., 1, 1:-1] += dxp[..., 0, 1:-1]
+    dxp[..., -2, 1:-1] += dxp[..., -1, 1:-1]
+    dxp[..., 1:-1, 1] += dxp[..., 1:-1, 0]
+    dxp[..., 1:-1, -2] += dxp[..., 1:-1, -1]
+    dxp[..., 1, 1] += dxp[..., 0, 0]
+    dxp[..., 1, -2] += dxp[..., 0, -1]
+    dxp[..., -2, 1] += dxp[..., -1, 0]
+    dxp[..., -2, -2] += dxp[..., -1, -1]
+    dxp[..., 0, :] = 0.0
+    dxp[..., -1, :] = 0.0
+    dxp[..., :, 0] = 0.0
+    dxp[..., :, -1] = 0.0
+    return dxp
 
 
 def laplacian_batch(x: np.ndarray) -> np.ndarray:

@@ -25,10 +25,10 @@ from .synthdata import DatasetStream, RainDataset, make_dataset, make_holdout
 
 TEST_FRACTION = 0.2
 
-# Per-pixel FLOPs estimate for one forward pass of the restorer (2 FLOPs per
-# multiply-accumulate, summed over the three conv layers); backward costs
-# roughly twice the forward.
-_MACS_PER_PIXEL = 9 * (3 * 8 + 8 * 8 + 8 * 3)
+# Per-pixel FLOPs estimate for one forward pass of the restorer: each conv
+# weight (the 4-d entries of LAYER_SHAPES) is one multiply-accumulate, 2 FLOPs,
+# per output pixel; backward costs roughly twice the forward.
+_MACS_PER_PIXEL = sum(math.prod(s) for _, s in restorer.LAYER_SHAPES if len(s) == 4)
 FLOPS_PER_PIXEL_FWD = 2 * _MACS_PER_PIXEL
 FLOPS_PER_PIXEL_STEP = 3 * FLOPS_PER_PIXEL_FWD
 

@@ -5,19 +5,22 @@ Architecture: conv3x3 (3->8) -> ReLU -> conv3x3 (8->8) -> ReLU -> conv3x3
 restored image is x - head(x). Zero-initialized weights give the identity.
 
 Batches are channels-first float64 arrays of shape (B, 3, H, W). Inside the
-network, activations are channel-major, (C, B, H, W), so that each conv is
-one GEMM over all B*H*W pixels (Chellapilla et al. 2006): the forward pass
-builds the 9C x BHW im2col matrix of its replicate-padded input and
-multiplies it by the O x 9C weight matrix. The backward pass rebuilds those
-columns rather than keeping them (they are the largest array of a step) and
-runs one GEMM for dW and one for the column gradient, which a 9-slice col2im
-folds back onto the input; the first layer skips the input gradient.
+network, each activation is a channel-major replicate-padded frame,
+(C, B, H+2, W+2), flattened to (C, B*(H+2)*(W+2)) for the GEMMs, so each tap
+(k, l) of a 3x3 conv reads one contiguous slice at offset k*(W+2) + l. A conv
+is nine shifted GEMMs accumulated into its output frame, with no 9C-row
+im2col matrix: the "kn2row" form of Anderson, Vasudevan & Gregg 2017
+("Low-memory GEMM-based convolution algorithms for deep neural networks").
+The backward pass reads the cached input frames: per tap, one GEMM for dW
+and one accumulated into the dX frame, whose border is then folded back onto
+the edge pixels. Only the 3-channel first layer's forward stacks its slices
+into one 27-row matrix, which measured faster there.
 
 All forward and backward math is straight numpy, so runs are bit-reproducible
 on one numpy/BLAS build; other builds may sum in another order and differ in
-the last bits. Each output pixel of a conv GEMM reads only its own column, so
-``forward(x)[i]`` equals ``forward(x[i:i+1])[0]`` up to rounding, and bit for
-bit on the OpenBLAS builds tested.
+the last bits. Each output pixel reads only its own image, so
+``forward(x)[i]`` equals ``forward(x[i:i+1])[0]`` up to rounding: a GEMM may
+round an output column differently depending on where in the batch it lies.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imaging import (
-    Image, ShapeError, laplacian_batch, laplacian_batch_adjoint, pad_replicate,
-    pad_replicate_adjoint,
+    Image, ShapeError, fill_replicate_border, fold_replicate_border,
+    laplacian_batch, laplacian_batch_adjoint, pad_replicate,
 )
 
 CHARBONNIER_EPS = 1e-3
@@ -40,6 +43,11 @@ LAYER_SHAPES = (
     ("w3", (3, 8, 3, 3)), ("b3", (3,)),
 )
 PARAM_COUNT = sum(int(np.prod(s)) for _, s in LAYER_SHAPES)
+
+# Input channels up to which a conv's forward stacks its nine tap slices into
+# one GEMM rather than running nine shifted GEMMs; with 9C = 27 rows the single
+# GEMM measured faster.
+_STACKED_MAX_CHANNELS = 3
 
 STATE_MAGIC = b"RRST"
 STATE_VERSION = 1
@@ -91,41 +99,76 @@ class RestorerState:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x):
-    """Columns of a (C, B, H, W) activation: a (9C, B*H*W) matrix whose rows
-    run over (c, k, l), the order of ``w.reshape(O, 9C)``."""
-    c, b, h, w = x.shape
-    xp = pad_replicate(x)
-    cols = np.empty((c, 3, 3, b, h, w))
-    for k in range(3):
-        for l in range(3):
-            cols[:, k, l] = xp[:, :, k : k + h, l : l + w]
-    return cols.reshape(9 * c, b * h * w)
+def _flat_taps(xp):
+    """A padded (C, B, H+2, W+2) frame flattened to (C, N); s and n, such that
+    flat positions [s, s + n) hold every interior pixel; and the nine taps
+    (k, l, offset): the output at position q reads tap (k, l) from
+    q - s + offset, so over those positions it reads [offset, offset + n)."""
+    c, _, _, wp = xp.shape
+    xf = xp.reshape(c, -1)
+    s = wp + 1
+    taps = [(k, l, k * wp + l) for k in range(3) for l in range(3)]
+    return xf, s, xf.shape[1] - 2 * s, taps
 
 
-def _conv3x3(x, w, b):
-    """(C, B, H, W) -> (O, B, H, W) replicate-padded 3x3 conv: one GEMM."""
-    out = w.reshape(w.shape[0], -1) @ _im2col(x)
-    out += b[:, None]
-    return out.reshape((w.shape[0],) + x.shape[1:])
+def _conv3x3(xp, w, b):
+    """Replicate-padded 3x3 conv of a (C, B, H, W) activation x, given as its
+    padded frame xp = pad_replicate(x). Returns an (O, B, H+2, W+2) frame
+    whose interior is the conv output and whose border is unspecified.
 
-
-def _conv3x3_backward(x, w, dout, need_dx=True):
-    """(dw, db, dx) of ``_conv3x3(x, w, b)`` for output gradient dout; dx is
-    None unless need_dx."""
+    With 9C small (the 3-channel first layer) the nine tap slices are stacked
+    into one (9C, n) matrix for a single GEMM, which is fastest; otherwise
+    nine shifted GEMMs accumulate, and no 9C-row matrix is built."""
+    c, bsz, hp, wp = xp.shape
     o = w.shape[0]
-    d2 = dout.reshape(o, -1)
-    dw = (d2 @ _im2col(x).T).reshape(w.shape)
-    db = d2.sum(axis=1)
+    xf, s, n, taps = _flat_taps(xp)
+    out = np.zeros((o, xf.shape[1]))
+    if c <= _STACKED_MAX_CHANNELS:
+        cols = np.stack([xf[:, off : off + n] for _, _, off in taps], axis=1)
+        cols = cols.reshape(9 * c, n)
+        # One GEMM per image, so an image's output does not depend on the
+        # batch it is in.
+        m = hp * wp - 2 * s
+        for i in range(0, bsz * hp * wp, hp * wp):
+            np.matmul(w.reshape(o, 9 * c), cols[:, i : i + m],
+                      out=out[:, s + i : s + i + m])
+    else:
+        for k, l, off in taps:
+            out[:, s : s + n] += w[:, :, k, l] @ xf[:, off : off + n]
+    out += b[:, None]
+    return out.reshape(o, bsz, hp, wp)
+
+
+def _conv3x3_backward(xp, w, dout, need_dx=True):
+    """(dw, db, dx) of ``_conv3x3(xp, w, b)``. dout is the gradient of the
+    output as an (O, B, H+2, W+2) frame with a zero border; dx, returned only
+    if need_dx, is the gradient of x in the same form.
+
+    The zero border makes the positions that are not output pixels
+    contribute nothing: dW of a tap is one GEMM against that tap's input
+    slice, and dX accumulates each tap's GEMM into the slice it read, then
+    folds the padding back onto the edge pixels."""
+    o = w.shape[0]
+    xf, s, n, taps = _flat_taps(xp)
+    d = dout.reshape(o, -1)[:, s : s + n]
+    dw = np.empty(w.shape)
+    for k, l, off in taps:
+        dw[:, :, k, l] = d @ xf[:, off : off + n].T
+    db = d.sum(axis=1)
     if not need_dx:
         return dw, db, None
-    c, bsz, h, wd = x.shape
-    dcols = (w.reshape(o, -1).T @ d2).reshape(c, 3, 3, bsz, h, wd)
-    dxp = np.zeros((c, bsz, h + 2, wd + 2))
-    for k in range(3):
-        for l in range(3):
-            dxp[:, :, k : k + h, l : l + wd] += dcols[:, k, l]
-    return dw, db, pad_replicate_adjoint(dxp)
+    dxp = np.zeros(xf.shape)
+    for k, l, off in taps:
+        dxp[:, off : off + n] += w[:, :, k, l].T @ d
+    return dw, db, fold_replicate_border(dxp.reshape(xp.shape))
+
+
+def _relu_padded(frame):
+    """In place: ReLU of a conv output frame's interior, with the border set
+    to replicate it, which makes the frame the next conv's padded input."""
+    inner = frame[:, :, 1:-1, 1:-1]
+    np.maximum(inner, 0.0, out=inner)
+    return fill_replicate_border(frame)
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +182,15 @@ def _channel_major(x):
 
 def _forward_cached(state, x):
     """Prediction for a (B, 3, H, W) batch, as a (B, 3, H, W) view of a
-    channel-major array, and the channel-major activations ``_backprop``
-    reads."""
+    channel-major array, and what ``_backprop`` reads: the padded
+    channel-major input frames of the three convs."""
     p = state.params
     xc = _channel_major(x)
-    a1 = _conv3x3(xc, p["w1"], p["b1"])
-    h1 = np.maximum(a1, 0.0)
-    a2 = _conv3x3(h1, p["w2"], p["b2"])
-    h2 = np.maximum(a2, 0.0)
-    residual = _conv3x3(h2, p["w3"], p["b3"])
-    pred = xc - residual
-    return pred.transpose(1, 0, 2, 3), (xc, a1, h1, a2, h2)
+    x1 = pad_replicate(xc)
+    x2 = _relu_padded(_conv3x3(x1, p["w1"], p["b1"]))
+    x3 = _relu_padded(_conv3x3(x2, p["w2"], p["b2"]))
+    pred = xc - _conv3x3(x3, p["w3"], p["b3"])[:, :, 1:-1, 1:-1]
+    return pred.transpose(1, 0, 2, 3), (x1, x2, x3)
 
 
 def forward(state: RestorerState, x: np.ndarray) -> np.ndarray:
@@ -162,15 +203,18 @@ def forward(state: RestorerState, x: np.ndarray) -> np.ndarray:
 
 def _backprop(state, cache, dpred):
     """Parameter gradients for dpred, the (B, 3, H, W) gradient of the
-    prediction."""
-    x, a1, h1, a2, h2 = cache
+    prediction. A ReLU output is positive exactly where its input is, so the
+    cached input frames give the ReLU masks; the gradient frames' zero
+    borders stay zero under them."""
+    x1, x2, x3 = cache
     p = state.params
-    dres = -_channel_major(dpred)  # pred = x - residual
-    dw3, db3, dh2 = _conv3x3_backward(h2, p["w3"], dres)
-    dh2 *= a2 > 0.0
-    dw2, db2, dh1 = _conv3x3_backward(h1, p["w2"], dh2)
-    dh1 *= a1 > 0.0
-    dw1, db1, _ = _conv3x3_backward(x, p["w1"], dh1, need_dx=False)
+    dres = np.zeros(x1.shape)  # pred = x - residual
+    np.negative(dpred.transpose(1, 0, 2, 3), out=dres[:, :, 1:-1, 1:-1])
+    dw3, db3, dh2 = _conv3x3_backward(x3, p["w3"], dres)
+    dh2 *= x3 > 0.0
+    dw2, db2, dh1 = _conv3x3_backward(x2, p["w2"], dh2)
+    dh1 *= x2 > 0.0
+    dw1, db1, _ = _conv3x3_backward(x1, p["w1"], dh1, need_dx=False)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
 
 
@@ -264,12 +308,6 @@ def replay_loss_grads(state, x, target, prev_out, lam):
     return _loss_grads(state, x, target, prev_out, lam)
 
 
-def backward(state, x, target, prev_out=None, lam=0.0):
-    """Gradients of the total per-batch loss (restoration + lam * consistency)."""
-    l_replay, l_consist, grads = _loss_grads(state, x, target, prev_out, lam)
-    return l_replay + lam * l_consist, grads
-
-
 def sgd_step(state: RestorerState, grads, lr=1e-2, momentum=0.9) -> RestorerState:
     for n in grads:
         if not np.all(np.isfinite(grads[n])):
@@ -279,55 +317,6 @@ def sgd_step(state: RestorerState, grads, lr=1e-2, momentum=0.9) -> RestorerStat
         new.momentum[n] = momentum * new.momentum[n] + grads[n]
         new.params[n] = new.params[n] - lr * new.momentum[n]
     return new
-
-
-# ---------------------------------------------------------------------------
-# Gradient checking
-# ---------------------------------------------------------------------------
-
-
-def kink_margin(state, x, prev_out=None):
-    """Smallest distance of any ReLU pre-activation (and, if given, any L1
-    difference against prev_out) from zero.
-
-    Central finite differences are only meaningful when this margin exceeds
-    the probe step times the local sensitivity; fixtures for gradient checks
-    should be chosen with a comfortable margin.
-    """
-    pred, (_, a1, _, a2, _) = _forward_cached(state, x)
-    margin = min(float(np.abs(a1).min()), float(np.abs(a2).min()))
-    if prev_out is not None:
-        margin = min(margin, float(np.abs(pred - prev_out).min()))
-    return margin
-
-
-def grad_check(state, x, target, prev_out=None, lam=0.0, n_samples=200,
-               h=1e-4, seed=0):
-    """Max relative error of analytic vs central finite-difference gradients
-    over n_samples randomly chosen parameters."""
-    _, grads = backward(state, x, target, prev_out, lam)
-    flat_grads = np.concatenate([grads[n].ravel() for n, _ in LAYER_SHAPES])
-    flat = state.flat_params()
-
-    def loss_at(vec):
-        s = state.copy()
-        s.set_flat_params(vec)
-        l_rep, l_con, _ = _loss_grads(s, x, target, prev_out, lam)
-        return l_rep + lam * l_con
-
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(flat.size, size=min(n_samples, flat.size), replace=False)
-    max_rel = 0.0
-    for i in idx:
-        v = flat.copy()
-        v[i] += h
-        lp = loss_at(v)
-        v[i] -= 2 * h
-        lm = loss_at(v)
-        fd = (lp - lm) / (2 * h)
-        denom = max(abs(fd), abs(flat_grads[i]), 1e-8)
-        max_rel = max(max_rel, abs(fd - flat_grads[i]) / denom)
-    return max_rel
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +335,9 @@ def images_to_batch(images) -> np.ndarray:
     return np.stack(arrs)
 
 
-def batch_to_images(batch) -> list:
-    return [Image(np.clip(np.transpose(b, (1, 2, 0)), 0.0, 1.0)) for b in batch]
-
-
 def restore_image(state, img: Image) -> Image:
-    pred = forward(state, images_to_batch([img]))
-    return batch_to_images(pred)[0]
+    pred = forward(state, images_to_batch([img]))[0]
+    return Image(np.clip(np.transpose(pred, (1, 2, 0)), 0.0, 1.0))
 
 
 def save_state(state: RestorerState, path):

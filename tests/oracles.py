@@ -1,0 +1,81 @@
+"""Reference computations that only the tests use: finite-difference gradient
+checks for the restorer and closed forms for the replay-cache accounting."""
+
+import numpy as np
+
+from rainreplay import restorer
+from rainreplay.restorer import LAYER_SHAPES
+
+
+def backward(state, x, target, prev_out=None, lam=0.0):
+    """Gradients of the total per-batch loss (restoration + lam * consistency)."""
+    l_replay, l_consist, grads = restorer.replay_loss_grads(
+        state, x, target, prev_out, lam)
+    return l_replay + lam * l_consist, grads
+
+
+def kink_margin(state, x, prev_out=None):
+    """Smallest distance of any ReLU pre-activation (and, if given, any L1
+    difference against prev_out) from zero.
+
+    Central finite differences are only meaningful when this margin exceeds
+    the probe step times the local sensitivity; fixtures for gradient checks
+    should be chosen with a comfortable margin.
+    """
+    pred, (x1, x2, _) = restorer._forward_cached(state, x)
+    p = state.params
+    a1 = restorer._conv3x3(x1, p["w1"], p["b1"])[:, :, 1:-1, 1:-1]
+    a2 = restorer._conv3x3(x2, p["w2"], p["b2"])[:, :, 1:-1, 1:-1]
+    margin = min(float(np.abs(a1).min()), float(np.abs(a2).min()))
+    if prev_out is not None:
+        margin = min(margin, float(np.abs(pred - prev_out).min()))
+    return margin
+
+
+def grad_check(state, x, target, prev_out=None, lam=0.0, n_samples=200,
+               h=1e-4, seed=0):
+    """Max relative error of analytic vs central finite-difference gradients
+    over n_samples randomly chosen parameters."""
+    _, grads = backward(state, x, target, prev_out, lam)
+    flat_grads = np.concatenate([grads[n].ravel() for n, _ in LAYER_SHAPES])
+    flat = state.flat_params()
+
+    def loss_at(vec):
+        s = state.copy()
+        s.set_flat_params(vec)
+        return backward(s, x, target, prev_out, lam)[0]
+
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(flat.size, size=min(n_samples, flat.size), replace=False)
+    max_rel = 0.0
+    for i in idx:
+        v = flat.copy()
+        v[i] += h
+        lp = loss_at(v)
+        v[i] -= 2 * h
+        lm = loss_at(v)
+        fd = (lp - lm) / (2 * h)
+        denom = max(abs(fd), abs(flat_grads[i]), 1e-8)
+        max_rel = max(max_rel, abs(fd - flat_grads[i]) / denom)
+    return max_rel
+
+
+def replay_cost_reuse_retained(sizes) -> float:
+    """Closed-form reuse cost under the cache's surplus-retention rule.
+
+    Slot j (created at stage j+2) keeps its largest build, so its cumulative
+    fresh calls are the running max of its real-valued requirement
+    max_{n >= j+2} M_n/(n-1). For nondecreasing per-slot requirements this
+    telescopes to the same value as replay_cost_reuse_closed; for
+    shrink-then-grow streams the retained surplus makes it strictly smaller.
+    """
+    n_stages = len(sizes)
+    total = 0.0
+    for j in range(n_stages - 1):
+        total += max(sizes[n - 1] / (n - 1) for n in range(j + 2, n_stages + 1))
+    return total
+
+
+def rounding_slack(n_stages: int) -> int:
+    """Integer-split rounding slack: up to (n-1) per stage."""
+    return sum(n - 1 for n in range(2, n_stages + 1))

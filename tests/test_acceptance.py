@@ -18,6 +18,7 @@ from rainreplay.pipeline import (
 from rainreplay.synthdata import DatasetSpec, RainParams, make_stream
 
 from conftest import dataset_spec
+import oracles
 import test_imaging
 
 
@@ -33,7 +34,7 @@ def _grad_fixture():
     x = rng.uniform(0.0, 1.0, (2, 3, 12, 12))
     target = rng.uniform(0.0, 1.0, (2, 3, 12, 12))
     prev = restorer.forward(restorer.RestorerState.random_init(6, scale=0.3), x)
-    assert restorer.kink_margin(state, x, prev) > 1e-3
+    assert oracles.kink_margin(state, x, prev) > 1e-3
     return state, x, target, prev
 
 
@@ -81,11 +82,11 @@ def test_criterion_1_gradient_fidelity(capsys):
     ok = True
     for term in ("char", "edge", "consist"):
         ok &= _term_grad_error(state, x, target, prev, term) < 1e-4
-    ok &= restorer.grad_check(state, x, target) < 1e-4
-    ok &= restorer.grad_check(state, x, target, prev_out=prev, lam=1.0) < 1e-4
+    ok &= oracles.grad_check(state, x, target) < 1e-4
+    ok &= oracles.grad_check(state, x, target, prev_out=prev, lam=1.0) < 1e-4
 
     # fault injection: a doubled gradient entry must be flagged
-    _, grads = restorer.backward(state, x, target, prev, lam=1.0)
+    _, grads = oracles.backward(state, x, target, prev, lam=1.0)
     flat = np.concatenate([grads[n].ravel() for n, _ in restorer.LAYER_SHAPES])
     i = int(np.argmax(np.abs(flat)))
     h = 1e-4
@@ -164,11 +165,11 @@ def test_criterion_4_reuse_accounting(capsys):
         n = int(rng.integers(2, 17))
         sizes = [int(rng.integers(1, 400)) for _ in range(n)]
         counted = costs.replay_cost_reuse_counted(sizes)
-        slack = costs.rounding_slack(n)
+        slack = oracles.rounding_slack(n)
         # the closed form evaluated with the cache-retention rule is exact
         # within rounding; the plain form is an upper bound (shrink-then-grow
         # streams keep free surplus)
-        ok &= abs(counted - costs.replay_cost_reuse_retained(sizes)) <= slack
+        ok &= abs(counted - oracles.replay_cost_reuse_retained(sizes)) <= slack
         ok &= counted <= costs.replay_cost_reuse_closed(sizes) + slack
 
     for n in range(2, 65):

@@ -108,6 +108,33 @@ def test_out_of_range_spec_value_exits_2(tmp_path, capsys, line, field):
     assert not (tmp_path / "o").exists()
 
 
+def _single_pair_spec(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text(SPEC + "a.pair_count=1\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["clgid", "sf"])
+def test_run_with_single_pair_dataset_exits_2(tmp_path, capsys, method):
+    path, out = _single_pair_spec(tmp_path), tmp_path / "o"
+    assert _run(path, str(out), "--method", method) == EXIT_BAD_KEY
+    err = capsys.readouterr().err
+    assert path in err and "dataset 'a'" in err and "pair_count" in err
+    assert not out.exists()
+
+
+def test_similarity_with_single_pair_dataset_exits_2(tmp_path, capsys):
+    path = _single_pair_spec(tmp_path)
+    assert main(["similarity", "--config", path]) == EXIT_BAD_KEY
+    err = capsys.readouterr().err
+    assert path in err and "dataset 'a'" in err and "pair_count" in err
+
+
+def test_gen_accepts_single_pair_dataset(tmp_path):
+    assert main(["gen", "--config", _single_pair_spec(tmp_path),
+                 "--out", str(tmp_path / "o")]) == EXIT_OK
+
+
 def test_duplicate_dataset_ids_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("datasets=a,a\na.angle_mean=30\n")

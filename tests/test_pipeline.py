@@ -49,6 +49,13 @@ def test_derive_seed_stable_and_distinct():
     assert len(seen) == 18
 
 
+def test_flops_per_pixel_pinned():
+    # 2 FLOPs per weight of the 3->8->8->3 net; cost.csv prints these exactly.
+    assert pipeline.FLOPS_PER_PIXEL_FWD == 2016
+    assert pipeline.FLOPS_PER_PIXEL_STEP == 6048
+    assert pipeline.stage_flops_estimate(_tiny_cfg(), 16, 3, True) == 3 * 2 * 2 * 256 * 6048
+
+
 def test_similarity_bootstrap():
     sim = similarity([], None, 0)
     assert sim.s_hat == 1.0

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainreplay import restorer
-from rainreplay.imaging import ShapeError
+from rainreplay.imaging import ShapeError, pad_replicate
 from rainreplay.restorer import (
     CHARBONNIER_EPS, LAYER_SHAPES, PARAM_COUNT, NumericalFaultError,
-    RestorerState, backward, charbonnier, consistency_loss, edge_loss, forward,
-    grad_check, images_to_batch, kink_margin, load_state, replay_loss_grads,
-    restore_image, restoration_loss_grads, save_state, sgd_step,
+    RestorerState, charbonnier, consistency_loss, edge_loss, forward,
+    images_to_batch, load_state, replay_loss_grads, restore_image,
+    restoration_loss_grads, save_state, sgd_step,
 )
 from rainreplay.synthdata import make_dataset
 
 from conftest import dataset_spec
+from oracles import backward, grad_check, kink_margin
 
 
 # A fixture with a comfortable distance from every ReLU / L1 kink, so central
@@ -37,21 +40,23 @@ def charbonnier_oracle(pred, target, eps=CHARBONNIER_EPS):
 
 
 def conv_oracle(x, w, b):
-    """Scalar-loop 3x3 convolution with replicate padding."""
+    """Scalar-loop 3x3 convolution with replicate padding (on nested lists,
+    which index faster than numpy scalars)."""
     bsz, cin, h, wd = x.shape
     cout = w.shape[0]
+    xs, ws = x.tolist(), w.tolist()
     out = np.zeros((bsz, cout, h, wd))
     for n in range(bsz):
         for o in range(cout):
             for y in range(h):
                 for xx in range(wd):
-                    acc = b[o]
+                    acc = float(b[o])
                     for c in range(cin):
                         for k in range(3):
+                            row = xs[n][c][min(max(y + k - 1, 0), h - 1)]
                             for l in range(3):
-                                yy = min(max(y + k - 1, 0), h - 1)
                                 zz = min(max(xx + l - 1, 0), wd - 1)
-                                acc += w[o, c, k, l] * x[n, c, yy, zz]
+                                acc += ws[o][c][k][l] * row[zz]
                     out[n, o, y, xx] = acc
     return out
 
@@ -60,21 +65,24 @@ def conv_backward_oracle(x, w, dout):
     """Scalar-loop adjoint of ``conv_oracle``: (dw, db, dx)."""
     bsz, cin, h, wd = x.shape
     cout = w.shape[0]
-    dw, db, dx = np.zeros(w.shape), np.zeros(cout), np.zeros(x.shape)
+    xs, ws, ds = x.tolist(), w.tolist(), dout.tolist()
+    dw = np.zeros(w.shape).tolist()
+    db = [0.0] * cout
+    dx = np.zeros(x.shape).tolist()
     for n in range(bsz):
         for o in range(cout):
             for y in range(h):
                 for xx in range(wd):
-                    g = dout[n, o, y, xx]
+                    g = ds[n][o][y][xx]
                     db[o] += g
                     for c in range(cin):
                         for k in range(3):
+                            yy = min(max(y + k - 1, 0), h - 1)
                             for l in range(3):
-                                yy = min(max(y + k - 1, 0), h - 1)
                                 zz = min(max(xx + l - 1, 0), wd - 1)
-                                dw[o, c, k, l] += g * x[n, c, yy, zz]
-                                dx[n, c, yy, zz] += g * w[o, c, k, l]
-    return dw, db, dx
+                                dw[o][c][k][l] += g * xs[n][c][yy][zz]
+                                dx[n][c][yy][zz] += g * ws[o][c][k][l]
+    return np.array(dw), np.array(db), np.array(dx)
 
 
 # ---------------------------------------------------------------------------
@@ -99,33 +107,92 @@ def test_forward_shape_checked(rng):
         forward(RestorerState.zeros(), rng.uniform(0, 1, (2, 1, 8, 8)))
 
 
-def _channel_major(a):
-    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+# The conv kernels work on channel-major (C, B, H+2, W+2) frames: a
+# replicate-padded input, and gradients with a zero border.
+def _input_frame(a):
+    return pad_replicate(a.transpose(1, 0, 2, 3))
+
+
+def _grad_frame(a):
+    bsz, c, h, wd = a.shape
+    frame = np.zeros((c, bsz, h + 2, wd + 2))
+    frame[:, :, 1:-1, 1:-1] = a.transpose(1, 0, 2, 3)
+    return frame
+
+
+def _interior(frame):
+    return frame[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
 
 
 def test_conv_matches_scalar_oracle(rng):
     x = rng.normal(0, 1, (3, 5, 7, 6))  # odd, non-square: B=3, C=5, 7x6
     w = rng.normal(0, 1, (4, 5, 3, 3))
     b = rng.normal(0, 1, 4)
-    out = restorer._conv3x3(_channel_major(x), w, b)  # channel-major layout
-    assert np.allclose(out.transpose(1, 0, 2, 3), conv_oracle(x, w, b),
-                       atol=1e-12)
+    out = restorer._conv3x3(_input_frame(x), w, b)  # channel-major layout
+    assert np.allclose(_interior(out), conv_oracle(x, w, b), atol=1e-12)
 
 
 def test_conv_backward_matches_scalar_oracle(rng):
     x = rng.normal(0, 1, (3, 5, 7, 6))
     w = rng.normal(0, 1, (4, 5, 3, 3))
     dout = rng.normal(0, 1, (3, 4, 7, 6))
-    dw, db, dx = restorer._conv3x3_backward(_channel_major(x), w,
-                                            _channel_major(dout))
+    dw, db, dx = restorer._conv3x3_backward(_input_frame(x), w,
+                                            _grad_frame(dout))
     want_dw, want_db, want_dx = conv_backward_oracle(x, w, dout)
     assert np.allclose(dw, want_dw, atol=1e-12)
     assert np.allclose(db, want_db, atol=1e-12)
-    assert np.allclose(dx.transpose(1, 0, 2, 3), want_dx, atol=1e-12)
+    assert np.allclose(_interior(dx), want_dx, atol=1e-12)
     dw1, db1, none = restorer._conv3x3_backward(
-        _channel_major(x), w, _channel_major(dout), need_dx=False)
+        _input_frame(x), w, _grad_frame(dout), need_dx=False)
     assert none is None
     assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
+
+
+def _check_conv_against_oracle(rng, bsz, c, o, h, wd):
+    x = rng.normal(0, 1, (bsz, c, h, wd))
+    w = rng.normal(0, 1, (o, c, 3, 3))
+    b = rng.normal(0, 1, o)
+    dout = rng.normal(0, 1, (bsz, o, h, wd))
+    xp, dp = _input_frame(x), _grad_frame(dout)
+    out = restorer._conv3x3(xp, w, b)
+    assert np.allclose(_interior(out), conv_oracle(x, w, b), atol=1e-12)
+    dw, db, dx = restorer._conv3x3_backward(xp, w, dp)
+    want_dw, want_db, want_dx = conv_backward_oracle(x, w, dout)
+    assert np.allclose(dw, want_dw, atol=1e-12)
+    assert np.allclose(db, want_db, atol=1e-12)
+    assert np.allclose(_interior(dx), want_dx, atol=1e-12)
+    assert not dx[:, :, [0, -1]].any() and not dx[:, :, :, [0, -1]].any()
+    dw1, db1, none = restorer._conv3x3_backward(xp, w, dp, need_dx=False)
+    assert none is None
+    assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
+
+
+# Batch 1 and 3 (the flat layout runs the images end to end), non-square
+# frames, and both the stacked (3 input channels) and the shifted-GEMM forward.
+@pytest.mark.parametrize("bsz", [1, 3])
+@pytest.mark.parametrize("h, wd", [(5, 7), (33, 36)])
+@pytest.mark.parametrize("c, o", [(3, 8), (8, 8), (8, 3)])
+def test_conv_kernels_match_scalar_oracle_grid(rng, bsz, c, o, h, wd):
+    _check_conv_against_oracle(rng, bsz, c, o, h, wd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bsz=st.integers(1, 3), c=st.integers(1, 9), o=st.integers(1, 9),
+       h=st.integers(1, 9), wd=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_conv_kernels_match_scalar_oracle_random_shapes(bsz, c, o, h, wd, seed):
+    _check_conv_against_oracle(np.random.default_rng(seed), bsz, c, o, h, wd)
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 33, 36), (4, 3, 16, 16), (3, 3, 5, 7)])
+def test_forward_rows_match_single_image_forward(shape):
+    # the per-stage teacher cache stores batched outputs and reads them back
+    # as single images
+    state = RestorerState.random_init(7, scale=0.3)
+    x = np.random.default_rng(8).uniform(0.0, 1.0, shape)
+    batched = forward(state, x)
+    for i in range(shape[0]):
+        assert np.allclose(batched[i], forward(state, x[i : i + 1])[0],
+                           rtol=0.0, atol=1e-12)
 
 
 def test_param_count():
