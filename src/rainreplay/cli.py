@@ -252,7 +252,8 @@ def cmd_run(args):
     else:
         report = pipeline.run_stream(stream, cfg, method=args.method)
     os.makedirs(args.out, exist_ok=True)
-    pipeline.write_reports(report, cfg, args.out, stream[0].image_size)
+    pipeline.write_reports(report, cfg, args.out,
+                           [spec.image_size for spec in stream])
     write_manifest(args.out, args, seed, spec_raw)
     print(f"{args.method}: final avg memory PSNR "
           f"{report.avg_memory_psnr():.2f} dB; reports in {args.out}")

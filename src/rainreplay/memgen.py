@@ -186,14 +186,6 @@ class ReplayDataset:
     def subset(self, slot: int):
         return [p for p, s in zip(self.pairs, self.slot_ids) if s == slot]
 
-    @property
-    def rainy_images(self):
-        return [p[0] for p in self.pairs]
-
-    @property
-    def clean_images(self):
-        return [p[1] for p in self.pairs]
-
 
 def _compose_pair(gen, z, current: RainDataset, bg_index: int):
     size = current.spec.image_size
@@ -210,17 +202,28 @@ def _fresh_pair(gen, current, seed, slot, j):
     return _compose_pair(gen, z, current, bg)
 
 
+def _assemble(entries, required, gens, current, seed):
+    """Replay set of the first required[slot] pairs of each entries[slot].
+    Fresh pairs are drawn past a slot's end as needed and appended to it
+    (surpluses are kept, never evicted). Returns (ReplayDataset, fresh
+    sampler calls made)."""
+    pairs, slot_ids, calls = [], [], 0
+    for slot, (gen, r) in enumerate(zip(gens, required)):
+        for j in range(len(entries[slot]), r):
+            entries[slot].append(_fresh_pair(gen, current, seed, slot, j))
+            calls += 1
+        pairs += entries[slot][:r]
+        slot_ids += [slot] * r
+    return ReplayDataset(pairs=pairs, slot_ids=slot_ids), calls
+
+
 def build_replay_dataset(gens, current: RainDataset, seed: int) -> ReplayDataset:
     """Replay set of size |current|, evenly split across per-dataset slots."""
     if not gens:
         raise PreconditionError("need at least one prior generator")
-    counts = even_split(len(current), len(gens))
-    pairs, slot_ids = [], []
-    for slot, (gen, cnt) in enumerate(zip(gens, counts)):
-        for j in range(cnt):
-            pairs.append(_fresh_pair(gen, current, seed, slot, j))
-            slot_ids.append(slot)
-    return ReplayDataset(pairs=pairs, slot_ids=slot_ids)
+    replay, _ = _assemble([[] for _ in gens], even_split(len(current), len(gens)),
+                          gens, current, seed)
+    return replay
 
 
 def select_generator_training(s_hat: float, threshold: float, first_stage: bool = False) -> int:
@@ -278,20 +281,8 @@ def apply_reuse(cache: ReplayCache, plan: ReusePlan, gens, current: RainDataset,
     if cache.stage != n - 1 or len(gens) != n - 1:
         raise StalenessError("plan, cache, and generator list disagree on stage")
     entries = [list(e) for e in cache.entries] + [[]]
-    pairs, slot_ids = [], []
-    calls = 0
-    for slot, (r, c) in enumerate(zip(plan.required, plan.cached)):
-        reused = entries[slot][:min(r, c)]
-        fresh = []
-        for j in range(c, c + plan.delta[slot]):
-            fresh.append(_fresh_pair(gens[slot], current, seed, slot, j))
-            calls += 1
-        entries[slot].extend(fresh)  # surpluses are kept, never evicted
-        for p in reused + fresh:
-            pairs.append(p)
-            slot_ids.append(slot)
-    new_cache = ReplayCache(stage=n, entries=entries)
-    return ReplayDataset(pairs=pairs, slot_ids=slot_ids), new_cache, calls
+    replay, calls = _assemble(entries, plan.required, gens, current, seed)
+    return replay, ReplayCache(stage=n, entries=entries), calls
 
 
 # ---------------------------------------------------------------------------

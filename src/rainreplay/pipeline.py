@@ -56,7 +56,6 @@ class StageConfig:
     reuse: bool = False
     replay: bool = True
     lr: float = 1e-2
-    momentum: float = 0.9
     seed: int = 0
     holdout_pairs: int = 8
 
@@ -231,7 +230,7 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
             raise restorer.NumericalFaultError(
                 f"non-finite loss at stage {stage}, iteration {it}")
         lr = 0.5 * cfg.lr * (1.0 + math.cos(math.pi * it / iterations))
-        state = restorer.sgd_step(state, grads, lr=lr, momentum=cfg.momentum)
+        state = restorer.sgd_step(state, grads, lr=lr)
         log.append({
             "l_new": l_new, "l_replay": l_replay, "l_consist": l_consist,
             "l_interleave": l_interleave, "l_total": l_total,
@@ -405,7 +404,9 @@ def stage_flops_estimate(cfg: StageConfig, image_size: int, iterations: int,
 
 
 def write_reports(report: StreamReport, cfg: StageConfig, out_dir,
-                  image_size: int):
+                  image_sizes):
+    """Write memory.csv, generalization.csv and cost.csv; ``image_sizes``
+    holds each stage's dataset image size, which its FLOPs estimate uses."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "memory.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -424,7 +425,7 @@ def write_reports(report: StreamReport, cfg: StageConfig, out_dir,
         w = csv.writer(fh)
         w.writerow(["stage", "iterations", "sampler_calls", "flops_estimate"])
         for stage in range(1, report.n_stages + 1):
-            fl = stage_flops_estimate(cfg, image_size,
+            fl = stage_flops_estimate(cfg, image_sizes[stage - 1],
                                       report.iterations[stage - 1],
                                       report.replay_active[stage - 1])
             w.writerow([stage, report.iterations[stage - 1],

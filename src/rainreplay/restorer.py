@@ -1,8 +1,12 @@
 """Small residual de-raining network with hand-derived forward/backward passes.
 
-Architecture: conv3x3 (3->8) -> ReLU -> conv3x3 (8->8) -> ReLU -> conv3x3
-(8->3), all replicate-padded; the head predicts the rain residual, so the
-restored image is x - head(x). Zero-initialized weights give the identity.
+Architecture: the replicate-padded 3x3 convs of ``LAYER_SHAPES`` in order,
+3->8 -> ReLU -> 8->8 -> ReLU -> 8->3, each stated there once as a (weight,
+bias) pair; the forward and backward passes loop over them. The head predicts
+the rain residual, so the restored image is x - head(x). Zero-initialized
+weights give the identity. Training uses the fixed ``CHARBONNIER_EPS`` and
+``MOMENTUM``; a state flattens to one vector in ``LAYER_SHAPES`` order, the
+layout of ``flat_params`` and of the state file.
 
 Batches are channels-first float64 arrays of shape (B, 3, H, W). Inside the
 network, each activation is a channel-major replicate-padded frame,
@@ -26,7 +30,7 @@ round an output column differently depending on where in the batch it lies.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +47,11 @@ LAYER_SHAPES = (
     ("w3", (3, 8, 3, 3)), ("b3", (3,)),
 )
 PARAM_COUNT = sum(int(np.prod(s)) for _, s in LAYER_SHAPES)
+_NAMES = [n for n, _ in LAYER_SHAPES]
+# (weight, bias) names of each conv, input to output
+_CONVS = tuple(zip(_NAMES[::2], _NAMES[1::2]))
+
+MOMENTUM = 0.9  # SGD momentum of every step
 
 # Input channels up to which a conv's forward stacks its nine tap slices into
 # one GEMM rather than running nine shifted GEMMs; with 9C = 27 rows the single
@@ -84,14 +93,25 @@ class RestorerState:
         )
 
     def flat_params(self):
-        return np.concatenate([self.params[n].ravel() for n, _ in LAYER_SHAPES])
+        return _flatten(self.params)
 
     def set_flat_params(self, flat):
-        pos = 0
-        for n, s in LAYER_SHAPES:
-            cnt = int(np.prod(s))
-            self.params[n] = flat[pos : pos + cnt].reshape(s).copy()
-            pos += cnt
+        self.params = _unflatten(flat)
+
+
+def _flatten(arrays):
+    """One vector of a name -> array dict, in LAYER_SHAPES order."""
+    return np.concatenate([arrays[n].ravel() for n in _NAMES])
+
+
+def _unflatten(flat):
+    """Inverse of ``_flatten``: fresh arrays shaped per LAYER_SHAPES."""
+    arrays, pos = {}, 0
+    for n, s in LAYER_SHAPES:
+        cnt = int(np.prod(s))
+        arrays[n] = flat[pos : pos + cnt].reshape(s).copy()
+        pos += cnt
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +196,18 @@ def _relu_padded(frame):
 # ---------------------------------------------------------------------------
 
 
-def _channel_major(x):
-    return np.ascontiguousarray(x.transpose(1, 0, 2, 3))
-
-
 def _forward_cached(state, x):
     """Prediction for a (B, 3, H, W) batch, as a (B, 3, H, W) view of a
-    channel-major array, and what ``_backprop`` reads: the padded
-    channel-major input frames of the three convs."""
+    channel-major array, and what ``_backprop`` reads: the list of padded
+    channel-major input frames, one per conv."""
     p = state.params
-    xc = _channel_major(x)
-    x1 = pad_replicate(xc)
-    x2 = _relu_padded(_conv3x3(x1, p["w1"], p["b1"]))
-    x3 = _relu_padded(_conv3x3(x2, p["w2"], p["b2"]))
-    pred = xc - _conv3x3(x3, p["w3"], p["b3"])[:, :, 1:-1, 1:-1]
-    return pred.transpose(1, 0, 2, 3), (x1, x2, x3)
+    xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    frames = [pad_replicate(xc)]
+    for w, b in _CONVS[:-1]:
+        frames.append(_relu_padded(_conv3x3(frames[-1], p[w], p[b])))
+    w, b = _CONVS[-1]
+    pred = xc - _conv3x3(frames[-1], p[w], p[b])[:, :, 1:-1, 1:-1]
+    return pred.transpose(1, 0, 2, 3), frames
 
 
 def forward(state: RestorerState, x: np.ndarray) -> np.ndarray:
@@ -201,26 +218,29 @@ def forward(state: RestorerState, x: np.ndarray) -> np.ndarray:
     return pred
 
 
-def _backprop(state, cache, dpred):
+def _backprop(state, frames, dpred):
     """Parameter gradients for dpred, the (B, 3, H, W) gradient of the
-    prediction. A ReLU output is positive exactly where its input is, so the
-    cached input frames give the ReLU masks; the gradient frames' zero
-    borders stay zero under them."""
-    x1, x2, x3 = cache
+    prediction, from the cached input frames. The convs run in reverse, each
+    taking the gradient frame of its output and leaving that of its input. A
+    ReLU output is positive exactly where its input is, so the cached input
+    frames give the ReLU masks; the gradient frames' zero borders stay zero
+    under them."""
     p = state.params
-    dres = np.zeros(x1.shape)  # pred = x - residual
-    np.negative(dpred.transpose(1, 0, 2, 3), out=dres[:, :, 1:-1, 1:-1])
-    dw3, db3, dh2 = _conv3x3_backward(x3, p["w3"], dres)
-    dh2 *= x3 > 0.0
-    dw2, db2, dh1 = _conv3x3_backward(x2, p["w2"], dh2)
-    dh1 *= x2 > 0.0
-    dw1, db1, _ = _conv3x3_backward(x1, p["w1"], dh1, need_dx=False)
-    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
+    grads = dict.fromkeys(_NAMES)
+    d = np.zeros(frames[0].shape)  # pred = x - residual
+    np.negative(dpred.transpose(1, 0, 2, 3), out=d[:, :, 1:-1, 1:-1])
+    for i in reversed(range(len(_CONVS))):
+        w, b = _CONVS[i]
+        grads[w], grads[b], d = _conv3x3_backward(frames[i], p[w], d,
+                                                  need_dx=i > 0)
+        if i > 0:
+            d *= frames[i] > 0.0
+    return grads
 
 
-def add_grads(acc, other, scale=1.0):
+def add_grads(acc, other):
     for n in acc:
-        acc[n] += scale * other[n]
+        acc[n] += other[n]
     return acc
 
 
@@ -234,36 +254,28 @@ def _check_shapes(a, b):
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _charbonnier_terms(pred, target, eps=CHARBONNIER_EPS):
+def _charbonnier_terms(pred, target):
     """Charbonnier loss of pred against target and its gradient in pred."""
     d = pred - target
-    s = np.sqrt(d * d + eps * eps)
+    s = np.sqrt(d * d + CHARBONNIER_EPS * CHARBONNIER_EPS)
     return float(np.mean(s)), d / (s * d.size)
 
 
-def charbonnier(pred, target, eps=CHARBONNIER_EPS):
+def charbonnier(pred, target):
     _check_shapes(pred, target)
-    return _charbonnier_terms(pred, target, eps)[0]
+    return _charbonnier_terms(pred, target)[0]
 
 
-def _charbonnier_grad(pred, target, eps=CHARBONNIER_EPS):
-    return _charbonnier_terms(pred, target, eps)[1]
-
-
-def _edge_terms(pred, target, eps=CHARBONNIER_EPS):
+def _edge_terms(pred, target):
     """Edge loss (Charbonnier of the Laplacians) of pred against target and
     its gradient in pred; each Laplacian is taken once."""
-    loss, g_lap = _charbonnier_terms(laplacian_batch(pred), laplacian_batch(target), eps)
+    loss, g_lap = _charbonnier_terms(laplacian_batch(pred), laplacian_batch(target))
     return loss, laplacian_batch_adjoint(g_lap)
 
 
-def edge_loss(pred, target, eps=CHARBONNIER_EPS):
+def edge_loss(pred, target):
     _check_shapes(pred, target)
-    return _edge_terms(pred, target, eps)[0]
-
-
-def _edge_loss_grad(pred, target, eps=CHARBONNIER_EPS):
-    return _edge_terms(pred, target, eps)[1]
+    return _edge_terms(pred, target)[0]
 
 
 def consistency_loss(out_a, out_b):
@@ -276,12 +288,12 @@ def _consistency_grad(out_a, out_b):
     return np.sign(out_a - out_b) / out_a.size
 
 
-def _restoration_terms(pred, target, eps=CHARBONNIER_EPS):
+def _restoration_terms(pred, target):
     """Charbonnier + edge loss of pred against target and its gradient in
     pred."""
     _check_shapes(pred, target)
-    l_char, g_char = _charbonnier_terms(pred, target, eps)
-    l_edge, g_edge = _edge_terms(pred, target, eps)
+    l_char, g_char = _charbonnier_terms(pred, target)
+    l_edge, g_edge = _edge_terms(pred, target)
     return l_char + l_edge, g_char + g_edge
 
 
@@ -308,13 +320,13 @@ def replay_loss_grads(state, x, target, prev_out, lam):
     return _loss_grads(state, x, target, prev_out, lam)
 
 
-def sgd_step(state: RestorerState, grads, lr=1e-2, momentum=0.9) -> RestorerState:
+def sgd_step(state: RestorerState, grads, lr=1e-2) -> RestorerState:
     for n in grads:
         if not np.all(np.isfinite(grads[n])):
             raise NumericalFaultError(f"non-finite gradient in {n}; step refused")
     new = state.copy()
     for n, _ in LAYER_SHAPES:
-        new.momentum[n] = momentum * new.momentum[n] + grads[n]
+        new.momentum[n] = MOMENTUM * new.momentum[n] + grads[n]
         new.params[n] = new.params[n] - lr * new.momentum[n]
     return new
 
@@ -342,14 +354,10 @@ def restore_image(state, img: Image) -> Image:
 
 def save_state(state: RestorerState, path):
     header = STATE_MAGIC + struct.pack("<IQ", STATE_VERSION, PARAM_COUNT)
-    flat_p = state.flat_params().astype("<f8")
-    flat_m = np.concatenate(
-        [state.momentum[n].ravel() for n, _ in LAYER_SHAPES]
-    ).astype("<f8")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(flat_p.tobytes())
-        fh.write(flat_m.tobytes())
+        for arrays in (state.params, state.momentum):
+            fh.write(_flatten(arrays).astype("<f8").tobytes())
 
 
 def load_state(path) -> RestorerState:
@@ -365,11 +373,5 @@ def load_state(path) -> RestorerState:
     body = np.frombuffer(blob[16:], dtype="<f8")
     if body.size != 2 * PARAM_COUNT:
         raise ValueError("truncated state payload")
-    state = RestorerState.zeros()
-    state.set_flat_params(body[:PARAM_COUNT].copy())
-    pos = 0
-    for n, s in LAYER_SHAPES:
-        cnt = int(np.prod(s))
-        state.momentum[n] = body[PARAM_COUNT + pos : PARAM_COUNT + pos + cnt].reshape(s).copy()
-        pos += cnt
-    return state
+    return RestorerState(params=_unflatten(body[:PARAM_COUNT]),
+                         momentum=_unflatten(body[PARAM_COUNT:]))

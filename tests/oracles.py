@@ -22,11 +22,11 @@ def kink_margin(state, x, prev_out=None):
     the probe step times the local sensitivity; fixtures for gradient checks
     should be chosen with a comfortable margin.
     """
-    pred, (x1, x2, _) = restorer._forward_cached(state, x)
+    pred, frames = restorer._forward_cached(state, x)
     p = state.params
-    a1 = restorer._conv3x3(x1, p["w1"], p["b1"])[:, :, 1:-1, 1:-1]
-    a2 = restorer._conv3x3(x2, p["w2"], p["b2"])[:, :, 1:-1, 1:-1]
-    margin = min(float(np.abs(a1).min()), float(np.abs(a2).min()))
+    margin = min(
+        float(np.abs(restorer._conv3x3(xp, p[w], p[b])[:, :, 1:-1, 1:-1]).min())
+        for xp, (w, b) in zip(frames, restorer._CONVS[:-1]))
     if prev_out is not None:
         margin = min(margin, float(np.abs(pred - prev_out).min()))
     return margin

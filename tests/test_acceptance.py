@@ -51,8 +51,8 @@ def _term_grad_error(state, x, target, prev, term, n_samples=80, h=1e-4):
 
     pred, cache = restorer._forward_cached(state, x)
     dpred = {
-        "char": restorer._charbonnier_grad(pred, target),
-        "edge": restorer._edge_loss_grad(pred, target),
+        "char": restorer._charbonnier_terms(pred, target)[1],
+        "edge": restorer._edge_terms(pred, target)[1],
         "consist": restorer._consistency_grad(pred, prev),
     }[term]
     grads = restorer._backprop(state, cache, dpred)
@@ -217,6 +217,7 @@ def _reference_stream(seed):
     ])
 
 
+@pytest.mark.slow
 def test_criterion_6_forgetting_direction(capsys):
     """Committed reference run: heavy slanted rain first, two light styles
     after, 5 seeds; thresholds evaluated on the 5-seed means."""

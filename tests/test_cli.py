@@ -258,6 +258,18 @@ def test_cost_bad_constant_exits_2_before_output(tmp_path, capsys, value):
     assert str(consts) in err and "'e_g'" in err
 
 
+def test_cost_csv_uses_each_stage_image_size(tmp_path):
+    path = tmp_path / "sizes.txt"
+    path.write_text(SPEC + "b.image_size=32\n")  # a keeps the global 16 px
+    out = str(tmp_path / "o")
+    assert main(["run", "--config", str(path), "--out", out, "--method", "sf",
+                 "--iterations", "3", "--batch-size", "2"]) == EXIT_OK
+    with open(os.path.join(out, "cost.csv")) as fh:
+        flops = [row.split(",")[-1] for row in fh.read().splitlines()[1:]]
+    # iterations * batch * pixels * FLOPs per pixel and step, at each size
+    assert flops == [str(3 * 2 * 16 ** 2 * 6048), str(3 * 2 * 32 ** 2 * 6048)]
+
+
 # ---------------------------------------------------------------------------
 # run determinism and equivalences
 # ---------------------------------------------------------------------------

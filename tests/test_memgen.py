@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rainreplay import memgen
+from rainreplay import costs, memgen
 from rainreplay.imaging import ShapeError
 from rainreplay.memgen import (
     ANGLE_BINS, DegenerateFitError, MemoryGenerator, PreconditionError,
@@ -206,10 +208,33 @@ def test_build_replay_deterministic():
     assert not np.array_equal(a.pairs[0][0].data, c.pairs[0][0].data)
 
 
+def test_build_replay_equals_apply_reuse_on_empty_cache():
+    ds = make_dataset(dataset_spec("cur", 8, pairs=7, size=16))
+    gens = [_toy_generator(b) for b in (2, 8, 14)]
+    n = len(gens) + 1
+    built = build_replay_dataset(gens, ds, seed=99)
+    empty = ReplayCache(stage=n - 1, entries=[[] for _ in range(n - 2)])
+    reused, _, calls = apply_reuse(empty, reuse_plan(empty, n, len(ds)), gens,
+                                   ds, seed=99)
+    assert calls == len(built) == len(reused)
+    assert reused.slot_ids == built.slot_ids
+    for (ra, ca), (rb, cb) in zip(reused.pairs, built.pairs):
+        assert np.array_equal(ra.data, rb.data)
+        assert np.array_equal(ca.data, cb.data)
+
+
 def test_build_replay_requires_generators():
     ds = make_dataset(dataset_spec("cur", 8, pairs=4, size=16))
     with pytest.raises(PreconditionError):
         build_replay_dataset([], ds, seed=0)
+
+
+@given(total=st.integers(0, 10_000), k=st.integers(1, 50))
+def test_even_split_properties(total, k):
+    parts = even_split(total, k)
+    assert len(parts) == k and sum(parts) == total
+    assert all(a >= b for a, b in zip(parts, parts[1:]))
+    assert max(parts) - min(parts) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +315,26 @@ def test_apply_reuse_matches_counted_oracle():
     for sizes in ([10, 10, 10, 10], [8, 12, 6, 10, 9], [5, 20, 5]):
         calls = _run_reuse_chain(sizes)
         assert sum(calls) == reuse_calls_oracle(sizes)
+
+
+@pytest.fixture(scope="module")
+def backgrounds():
+    return make_dataset(dataset_spec("bg", 31, pairs=2, size=16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(sizes=st.lists(st.integers(1, 12), min_size=2, max_size=6))
+def test_reuse_fresh_calls_match_counted_cost(backgrounds, sizes):
+    # reuse_plan takes each stage's size; the backgrounds need not match it
+    cache = ReplayCache(stage=1, entries=[])
+    gens = [_toy_generator(3 * i % ANGLE_BINS, density=5.0) for i in range(len(sizes))]
+    calls = 0
+    for n, m in enumerate(sizes[1:], start=2):
+        plan = reuse_plan(cache, n, m)
+        rep, cache, c = apply_reuse(cache, plan, gens[: n - 1], backgrounds, seed=n)
+        assert len(rep) == m and c == plan.total_fresh
+        calls += c
+    assert calls == costs.replay_cost_reuse_counted(sizes)
 
 
 def test_apply_reuse_reused_pairs_identical_to_cached():

@@ -137,9 +137,9 @@ def test_train_stage_step_size_anneals(monkeypatch, iterations):
     seen = []
     real_step = pipeline.restorer.sgd_step
 
-    def spy(state, grads, lr, momentum):
+    def spy(state, grads, lr):
         seen.append(lr)
-        return real_step(state, grads, lr=lr, momentum=momentum)
+        return real_step(state, grads, lr=lr)
 
     monkeypatch.setattr(pipeline.restorer, "sgd_step", spy)
     ds = make_dataset(dataset_spec("a", 5, pairs=3, size=16))
@@ -342,7 +342,7 @@ def test_write_reports_csvs(tmp_path):
     stream = _stream([45.0, 135.0], pairs=5)
     cfg = _tiny_cfg(iterations=4)
     report = run_stream(stream, cfg)
-    write_reports(report, cfg, tmp_path, 16)
+    write_reports(report, cfg, tmp_path, [16, 16])
     with open(tmp_path / "memory.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3  # (1,1), (2,1), (2,2)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from rainreplay import restorer
 from rainreplay.imaging import ShapeError, pad_replicate
@@ -195,6 +197,28 @@ def test_forward_rows_match_single_image_forward(shape):
                            rtol=0.0, atol=1e-12)
 
 
+def _network_reference(params, x):
+    """The restorer written out from its named layers: per image, scipy
+    correlations with replicate ('nearest') padding."""
+    def conv(a, w, b):
+        return np.stack([
+            [sum(ndimage.correlate(img[c], w[o, c], mode="nearest")
+                 for c in range(w.shape[1])) + b[o] for o in range(w.shape[0])]
+            for img in a])
+
+    h1 = np.maximum(conv(x, params["w1"], params["b1"]), 0.0)
+    h2 = np.maximum(conv(h1, params["w2"], params["b2"]), 0.0)
+    return x - conv(h2, params["w3"], params["b3"])
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 9, 7), (3, 3, 16, 16)])
+def test_forward_matches_named_layer_reference(shape):
+    state = RestorerState.random_init(11, scale=0.3)
+    x = np.random.default_rng(12).uniform(0.0, 1.0, shape)
+    assert np.allclose(forward(state, x), _network_reference(state.params, x),
+                       rtol=0.0, atol=1e-10)
+
+
 def test_param_count():
     assert PARAM_COUNT == 1027
     state = RestorerState.zeros()
@@ -278,15 +302,17 @@ def _input_grad_check(loss_fn, grad_fn, pred, *args, h=1e-4):
 def test_charbonnier_input_gradient(rng):
     pred = rng.uniform(0, 1, (1, 3, 6, 6))
     target = rng.uniform(0, 1, (1, 3, 6, 6))
-    err = _input_grad_check(charbonnier, restorer._charbonnier_grad,
-                            pred, target)
+    err = _input_grad_check(
+        charbonnier, lambda p, t: restorer._charbonnier_terms(p, t)[1],
+        pred, target)
     assert err < 1e-4
 
 
 def test_edge_loss_input_gradient(rng):
     pred = rng.uniform(0, 1, (1, 3, 6, 6))
     target = rng.uniform(0, 1, (1, 3, 6, 6))
-    err = _input_grad_check(edge_loss, restorer._edge_loss_grad, pred, target)
+    err = _input_grad_check(
+        edge_loss, lambda p, t: restorer._edge_terms(p, t)[1], pred, target)
     assert err < 1e-4
 
 
@@ -368,10 +394,10 @@ def test_restoration_and_replay_grads_agree():
 def test_sgd_step_hand_computed():
     state = RestorerState.zeros()
     grads = {n: np.full(s, 2.0) for n, s in LAYER_SHAPES}
-    s1 = sgd_step(state, grads, lr=0.1, momentum=0.9)
+    s1 = sgd_step(state, grads, lr=0.1)
     assert np.allclose(s1.params["w1"], -0.2)
     assert np.allclose(s1.momentum["w1"], 2.0)
-    s2 = sgd_step(s1, grads, lr=0.1, momentum=0.9)
+    s2 = sgd_step(s1, grads, lr=0.1)
     # v2 = 0.9*2 + 2 = 3.8; w2 = -0.2 - 0.38
     assert np.allclose(s2.momentum["w1"], 3.8)
     assert np.allclose(s2.params["w1"], -0.58)
@@ -394,7 +420,7 @@ def test_training_descends():
     for _ in range(200):
         loss, grads = restoration_loss_grads(state, x, y)
         losses.append(loss)
-        state = sgd_step(state, grads, lr=1e-2, momentum=0.9)
+        state = sgd_step(state, grads, lr=1e-2)
     decreases = sum(b < a for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
     assert decreases >= 0.95 * (len(losses) - 1)
@@ -408,7 +434,7 @@ def test_overfit_small_dataset():
     state = RestorerState.random_init(1)
     for _ in range(800):
         _, grads = restoration_loss_grads(state, x, y)
-        state = sgd_step(state, grads, lr=2e-2, momentum=0.9)
+        state = sgd_step(state, grads, lr=2e-2)
     scores = [psnr(restore_image(state, r), c) for r, c in ds.pairs]
     assert np.mean(scores) >= 25.0
 
@@ -427,6 +453,25 @@ def test_state_roundtrip(tmp_path):
     for n, _ in LAYER_SHAPES:
         assert np.array_equal(back.params[n], state.params[n])
         assert np.array_equal(back.momentum[n], state.momentum[n])
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_state_roundtrip_exact_any_values(tmp_path_factory, data):
+    def draw():
+        return {n: data.draw(hnp.arrays(np.float64, s, elements=st.floats()))
+                for n, s in LAYER_SHAPES}
+
+    state = RestorerState(params=draw(), momentum=draw())
+    path = tmp_path_factory.mktemp("state") / "state.bin"
+    save_state(state, path)
+    back = load_state(path)
+    for part in ("params", "momentum"):
+        want, got = getattr(state, part), getattr(back, part)
+        assert list(got) == list(want)
+        for n, _ in LAYER_SHAPES:
+            assert got[n].shape == want[n].shape
+            assert got[n].tobytes() == want[n].tobytes()
 
 
 def test_state_rejects_bad_magic(tmp_path):
