@@ -6,9 +6,11 @@ at its default flags: per stage the similarity scores, the generator-training
 flag, the mapped generator and the fresh replay samples), cost (symbolic cost
 simulation), compare (merge run outputs into one comparison CSV).
 
-Config files are plain key=value lines with '#' comments; unknown keys are
-rejected. Exit codes: 0 success, 2 malformed or unknown config key, 3 missing
-file, 4 unknown method, 1 anything else.
+Config files are plain UTF-8 key=value lines with '#' comments; unknown keys
+are rejected. Exit codes: 0 success; 2 malformed or unknown config key,
+out-of-range option value, config file that is not UTF-8, or run CSV given
+to compare with no rows or a malformed cell; 3 missing file; 4 unknown
+method; 1 anything else.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -32,16 +33,28 @@ EXIT_BAD_METHOD = 4
 
 METHODS = ("clgid", "clgid-fast", "sf", "individual")
 
+# run's options in manifest order, as (flag, dest, type, default). A flag's
+# manifest key is its name with '_' for '-'; switches (type bool) are written
+# as 0/1.
+RUN_OPTIONS = (
+    ("--iterations", "iterations", int, pipeline.StageConfig.iterations),
+    ("--batch-size", "batch_size", int, pipeline.StageConfig.batch_size),
+    ("--lambda", "lam", float, pipeline.StageConfig.lam),
+    ("--threshold", "threshold", float, pipeline.StageConfig.threshold),
+    ("--floor", "floor", float, pipeline.StageConfig.floor),
+    ("--no-speedup", "no_speedup", bool, False),
+    ("--no-reuse", "no_reuse", bool, False),
+    ("--no-selective", "no_selective", bool, False),
+    ("--no-replay", "no_replay", bool, False),
+    ("--no-distill", "no_distill", bool, False),
+)
+
 _GLOBAL_KEYS = {"image_size", "pair_count", "seed", "datasets"}
-_DATASET_KEYS = {
-    "angle_mean", "angle_std", "length_mean", "length_std", "width",
-    "density", "intensity_mean", "intensity_std",
-    "pair_count", "image_size", "seed",
-}
 _RAIN_DEFAULTS = {
     "angle_std": 4.0, "length_mean": 12.0, "length_std": 3.0,
     "width": 1.0, "density": 20.0, "intensity_mean": 0.5, "intensity_std": 0.1,
 }
+_DATASET_KEYS = {"angle_mean", *_RAIN_DEFAULTS, "pair_count", "image_size", "seed"}
 _CONSTANT_KEYS = {
     "p_g", "e_g", "b_g", "f_g_train", "t_g_train", "f_r", "t_r",
     "p_d", "e_d", "b_d", "f_d_train", "t_d_train",
@@ -59,19 +72,23 @@ def parse_kv_file(path, allowed_check=None):
     if not os.path.exists(path):
         raise CliError(f"missing file: {path}", EXIT_MISSING_FILE)
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(
-                    f"{path}:{lineno}: malformed line {raw.strip()!r}", EXIT_BAD_KEY)
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if allowed_check is not None and not allowed_check(key):
-                raise CliError(f"{path}:{lineno}: unknown key {key!r}", EXIT_BAD_KEY)
-            out[key] = val
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 at byte {exc.start}", EXIT_BAD_KEY) from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(
+                f"{path}:{lineno}: malformed line {raw.strip()!r}", EXIT_BAD_KEY)
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if allowed_check is not None and not allowed_check(key):
+            raise CliError(f"{path}:{lineno}: unknown key {key!r}", EXIT_BAD_KEY)
+        out[key] = val
     return out
 
 
@@ -158,41 +175,42 @@ def require_training_pairs(stream, path):
                 f"training split, got {spec.pair_count}", EXIT_BAD_KEY)
 
 
+def _manifest_key(flag):
+    return flag[2:].replace("-", "_")
+
+
 def build_stage_config(args, seed):
-    cfg = pipeline.StageConfig(
+    """The ``StageConfig`` of ``run``'s options, or exit 2 naming the option
+    and its origin (the command line or the manifest) if a value breaks one
+    of ``StageConfig``'s range rules. ``sf`` gets its flags from
+    ``pipeline.baseline_sf`` and ``individual`` reads none of them."""
+    for flag, dest, kind, _ in RUN_OPTIONS:
+        try:
+            if kind is not bool:
+                pipeline.StageConfig(**{dest: getattr(args, dest)})
+        except ValueError as exc:
+            key = (f"{args.manifest}: key {_manifest_key(flag)!r}" if args.manifest
+                   else f"command line: option {flag!r}")
+            raise CliError(f"{key}: {exc}", EXIT_BAD_KEY) from None
+    return pipeline.StageConfig(
         iterations=args.iterations,
         batch_size=args.batch_size,
-        lam=args.lam,
+        lam=0.0 if args.no_distill else args.lam,
         threshold=args.threshold,
         floor=args.floor,
+        speedup=args.method == "clgid-fast" and not args.no_speedup,
+        selective=not args.no_selective,
+        reuse=not args.no_reuse,
+        replay=not args.no_replay,
         seed=seed,
     )
-    if args.method == "clgid":
-        cfg = replace(cfg, replay=not args.no_replay, speedup=False,
-                      selective=not args.no_selective, reuse=not args.no_reuse)
-    elif args.method == "clgid-fast":
-        cfg = replace(cfg, replay=not args.no_replay,
-                      speedup=not args.no_speedup,
-                      selective=not args.no_selective, reuse=not args.no_reuse)
-    elif args.method == "sf":
-        cfg = replace(cfg, replay=False, lam=0.0, speedup=False,
-                      selective=False, reuse=False)
-    # individual handled by its own driver
-    if args.no_distill:
-        cfg = replace(cfg, lam=0.0)
-    return cfg
 
 
 def write_manifest(out_dir, args, seed, spec_raw):
-    lines = [f"version={__version__}", f"method={args.method}", f"seed={seed}",
-             f"iterations={args.iterations}", f"batch_size={args.batch_size}",
-             f"lambda={args.lam}", f"threshold={args.threshold}",
-             f"floor={args.floor}",
-             f"no_speedup={int(args.no_speedup)}",
-             f"no_reuse={int(args.no_reuse)}",
-             f"no_selective={int(args.no_selective)}",
-             f"no_replay={int(args.no_replay)}",
-             f"no_distill={int(args.no_distill)}"]
+    lines = [f"version={__version__}", f"method={args.method}", f"seed={seed}"]
+    for flag, dest, kind, _ in RUN_OPTIONS:
+        value = getattr(args, dest)
+        lines.append(f"{_manifest_key(flag)}={int(value) if kind is bool else value}")
     lines += [f"spec.{k}={v}" for k, v in spec_raw.items()]
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -209,16 +227,9 @@ def load_manifest_args(path, args):
 
     args.method = value("method", str)
     args.seed = value("seed", int)
-    args.iterations = value("iterations", int)
-    args.batch_size = value("batch_size", int)
-    args.lam = value("lambda", float)
-    args.threshold = value("threshold", float)
-    args.floor = value("floor", float)
-    args.no_speedup = bool(value("no_speedup", int))
-    args.no_reuse = bool(value("no_reuse", int))
-    args.no_selective = bool(value("no_selective", int))
-    args.no_replay = bool(value("no_replay", int))
-    args.no_distill = bool(value("no_distill", int))
+    for flag, dest, kind, _ in RUN_OPTIONS:
+        convert = (lambda v: bool(int(v))) if kind is bool else kind
+        setattr(args, dest, value(_manifest_key(flag), convert))
     return {k[5:]: v for k, v in raw.items() if k.startswith("spec.")}
 
 
@@ -313,6 +324,20 @@ def cmd_cost(args):
     return EXIT_OK
 
 
+def _read_run_csv(path, columns):
+    """Rows of a run CSV as tuples of ``columns`` (stage and dataset as int);
+    exit 2 naming the file if it has no rows or a missing or malformed cell."""
+    with open(path, newline="") as fh:
+        try:
+            rows = [tuple((int if c in ("stage", "dataset") else float)(r[c])
+                          for c in columns) for r in csv.DictReader(fh)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"{path}: malformed row ({exc})", EXIT_BAD_KEY) from None
+    if not rows:
+        raise CliError(f"{path}: no data rows", EXIT_BAD_KEY)
+    return rows
+
+
 def cmd_compare(args):
     rows = []
     for d in args.dirs:
@@ -323,39 +348,26 @@ def cmd_compare(args):
             if not os.path.exists(p):
                 raise CliError(f"missing file: {p}", EXIT_MISSING_FILE)
         method = parse_kv_file(man_path).get("method", os.path.basename(d))
-        with open(mem_path) as fh:
-            mem = list(csv.DictReader(fh))
-        last_stage = max(int(r["stage"]) for r in mem)
-        finals = {int(r["dataset"]): (float(r["psnr"]), float(r["ssim"]))
-                  for r in mem if int(r["stage"]) == last_stage}
-        with open(gen_path) as fh:
-            gen = list(csv.DictReader(fh))
-        hold = gen[-1]
-        rows.append((method, finals, float(hold["psnr"]), float(hold["ssim"])))
+        mem = _read_run_csv(mem_path, ("stage", "dataset", "psnr", "ssim"))
+        last_stage = max(stage for stage, *_ in mem)
+        finals = {ds: (p, s) for stage, ds, p, s in mem if stage == last_stage}
+        hold = _read_run_csv(gen_path, ("psnr", "ssim"))[-1]
+        rows.append((method, finals, hold))
 
-    n_datasets = max(max(f) for _, f, _, _ in rows)
+    n_datasets = max(max(f) for _, f, _ in rows)
     out = args.out or "comparison.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
-        header = ["method"]
-        for d in range(1, n_datasets + 1):
-            header += [f"d{d}_psnr", f"d{d}_ssim"]
-        header += ["avg_memory_psnr", "avg_memory_ssim",
-                   "holdout_psnr", "holdout_ssim"]
-        w.writerow(header)
-        for method, finals, hp, hs in rows:
+        w.writerow(["method"] + [f"d{d}_{m}" for d in range(1, n_datasets + 1)
+                                 for m in ("psnr", "ssim")]
+                   + ["avg_memory_psnr", "avg_memory_ssim",
+                      "holdout_psnr", "holdout_ssim"])
+        for method, finals, hold in rows:
             row = [method]
-            ps, ss = [], []
             for d in range(1, n_datasets + 1):
-                if d in finals:
-                    row += ["%.10g" % finals[d][0], "%.10g" % finals[d][1]]
-                    ps.append(finals[d][0])
-                    ss.append(finals[d][1])
-                else:
-                    row += ["", ""]
-            row += ["%.10g" % np.mean(ps), "%.10g" % np.mean(ss),
-                    "%.10g" % hp, "%.10g" % hs]
-            w.writerow(row)
+                row += map(pipeline._fmt, finals[d]) if d in finals else ["", ""]
+            means = [np.mean(col) for col in zip(*(finals[d] for d in sorted(finals)))]
+            w.writerow(row + [pipeline._fmt(v) for v in (*means, *hold)])
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -378,16 +390,11 @@ def build_parser():
     r.add_argument("--out", required=True)
     r.add_argument("--method", default="clgid")
     r.add_argument("--manifest", help="rerun from a previously written manifest")
-    r.add_argument("--iterations", type=int, default=2000)
-    r.add_argument("--batch-size", type=int, default=4)
-    r.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    r.add_argument("--threshold", type=float, default=0.4)
-    r.add_argument("--floor", type=float, default=0.05)
-    r.add_argument("--no-speedup", action="store_true")
-    r.add_argument("--no-reuse", action="store_true")
-    r.add_argument("--no-selective", action="store_true")
-    r.add_argument("--no-replay", action="store_true")
-    r.add_argument("--no-distill", action="store_true")
+    for flag, dest, kind, default in RUN_OPTIONS:
+        if kind is bool:
+            r.add_argument(flag, dest=dest, action="store_true")
+        else:
+            r.add_argument(flag, dest=dest, type=kind, default=default)
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser(

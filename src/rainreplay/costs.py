@@ -9,7 +9,7 @@ an actual call counter from the replay cache simulation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .memgen import even_split
 

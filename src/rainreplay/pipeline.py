@@ -60,12 +60,13 @@ class StageConfig:
     holdout_pairs: int = 8
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if not 0.0 <= self.floor <= 1.0:
-            raise ValueError("floor must be in [0, 1]")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must be in (0, 1)")
+        for ok, rule in ((self.iterations >= 0, "iterations must be >= 0"),
+                         (self.batch_size >= 1, "batch_size must be >= 1"),
+                         (self.lam >= 0, "lam must be >= 0"),
+                         (0.0 <= self.floor <= 1.0, "floor must be in [0, 1]"),
+                         (0.0 < self.threshold < 1.0, "threshold must be in (0, 1)")):
+            if not ok:
+                raise ValueError(rule)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ pairs can be built in any order (or in parallel) with identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -300,20 +300,9 @@ def export_dataset(ds: RainDataset, out_dir):
     for m, (rainy, clean) in enumerate(ds.pairs):
         write_ppm(rainy, os.path.join(d, f"{m}_rain.ppm"))
         write_ppm(clean, os.path.join(d, f"{m}_clean.ppm"))
-    r = ds.spec.rain
-    lines = [
-        f"id={ds.spec.id}",
-        f"pair_count={ds.spec.pair_count}",
-        f"image_size={ds.spec.image_size}",
-        f"seed={ds.spec.seed}",
-        f"angle_mean={r.angle_mean}",
-        f"angle_std={r.angle_std}",
-        f"length_mean={r.length_mean}",
-        f"length_std={r.length_std}",
-        f"width={r.width}",
-        f"density={r.density}",
-        f"intensity_mean={r.intensity_mean}",
-        f"intensity_std={r.intensity_std}",
-    ]
+    spec = ds.spec
+    lines = [f"id={spec.id}", f"pair_count={spec.pair_count}",
+             f"image_size={spec.image_size}", f"seed={spec.seed}"]
+    lines += [f"{k}={v}" for k, v in asdict(spec.rain).items()]
     with open(os.path.join(d, "spec.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,13 +1,18 @@
+import argparse
 import os
 import re
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainreplay import cli, pipeline
 from rainreplay.cli import (
     EXIT_BAD_KEY, EXIT_BAD_METHOD, EXIT_MISSING_FILE, EXIT_OK, main,
 )
+from rainreplay.synthdata import RainParams
 
 SPEC = """\
 # two-dataset stream
@@ -177,6 +182,145 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, key, bad):
     assert not (tmp_path / "o").exists()
 
 
+OUT_OF_RANGE = [("--iterations", "-3"), ("--batch-size", "0"),
+                ("--threshold", "1.5"), ("--floor", "2"), ("--lambda", "-1")]
+
+
+@pytest.mark.parametrize("flag, bad", OUT_OF_RANGE)
+def test_out_of_range_option_exits_2(spec_file, tmp_path, capsys, flag, bad):
+    out = tmp_path / "o"
+    assert _run(spec_file, str(out), flag, bad) == EXIT_BAD_KEY
+    err = capsys.readouterr().err
+    assert "command line" in err and repr(flag) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, bad", OUT_OF_RANGE)
+def test_out_of_range_manifest_value_exits_2(tmp_path, capsys, flag, bad):
+    key = flag[2:].replace("-", "_")
+    path = tmp_path / "manifest.txt"
+    path.write_text(re.sub(rf"(?m)^{key}=.*$", f"{key}={bad}", MANIFEST))
+    out = tmp_path / "o"
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == EXIT_BAD_KEY
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(key) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "run", "similarity"])
+def test_non_utf8_config_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"datasets=a\n\xff\n")
+    extra = [] if command == "similarity" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--config", str(path), *extra]) == EXIT_BAD_KEY
+    assert str(path) in capsys.readouterr().err
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=200) | st.text(max_size=200).map(str.encode),
+       strict=st.booleans())
+def test_parse_kv_file_returns_mapping_or_cli_error(data, strict):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "any.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            out = cli.parse_kv_file(
+                path, allowed_check=(lambda k: k.isidentifier()) if strict else None)
+        except cli.CliError as exc:
+            assert exc.code == EXIT_BAD_KEY and path in str(exc)
+        else:
+            assert all(isinstance(k, str) and isinstance(v, str)
+                       for k, v in out.items())
+
+
+def test_manifest_writer_reproduces_manifest(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_text(MANIFEST)
+    args = argparse.Namespace()
+    spec_raw = cli.load_manifest_args(str(path), args)
+    cli.write_manifest(str(tmp_path), args, args.seed, spec_raw)
+    assert path.read_text() == f"version={cli.__version__}\n" + MANIFEST
+
+
+def test_dataset_keys_are_the_rain_and_spec_fields():
+    assert cli._DATASET_KEYS == {f.name for f in fields(RainParams)} | {
+        "pair_count", "image_size", "seed"}
+
+
+# ---------------------------------------------------------------------------
+# the option table
+# ---------------------------------------------------------------------------
+
+SWITCHES = ("--no-speedup", "--no-reuse", "--no-selective", "--no-replay",
+            "--no-distill")
+
+
+def _old_build_stage_config(args, seed):
+    """The per-method if/elif mapping that the option table replaced."""
+    cfg = pipeline.StageConfig(
+        iterations=args.iterations, batch_size=args.batch_size, lam=args.lam,
+        threshold=args.threshold, floor=args.floor, seed=seed)
+    if args.method == "clgid":
+        cfg = replace(cfg, replay=not args.no_replay, speedup=False,
+                      selective=not args.no_selective, reuse=not args.no_reuse)
+    elif args.method == "clgid-fast":
+        cfg = replace(cfg, replay=not args.no_replay,
+                      speedup=not args.no_speedup,
+                      selective=not args.no_selective, reuse=not args.no_reuse)
+    elif args.method == "sf":
+        cfg = replace(cfg, replay=False, lam=0.0, speedup=False,
+                      selective=False, reuse=False)
+    if args.no_distill:
+        cfg = replace(cfg, lam=0.0)
+    return cfg
+
+
+def _as_trained(cfg, method):
+    """The config a method trains with: ``baseline_sf`` sets SF's flags and
+    ``baseline_individual`` reads none of them."""
+    if method in ("sf", "individual"):
+        return replace(cfg, replay=False, lam=0.0, speedup=False,
+                       selective=False, reuse=False)
+    return cfg
+
+
+@pytest.mark.parametrize("switch", [None, *SWITCHES])
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_build_stage_config_matches_per_method_mapping(method, switch):
+    args = cli.build_parser().parse_args(
+        ["run", "--out", "o", "--method", method, "--iterations", "3",
+         "--batch-size", "2", "--lambda", "0.5", "--threshold", "0.3",
+         "--floor", "0.1", *([switch] if switch else [])])
+    expected = argparse.Namespace(
+        method=method, iterations=3, batch_size=2, lam=0.5, threshold=0.3,
+        floor=0.1, **{s[2:].replace("-", "_"): s == switch for s in SWITCHES})
+    new = cli.build_stage_config(args, 7)
+    old = _old_build_stage_config(expected, 7)
+    assert _as_trained(new, method) == _as_trained(old, method)
+
+
+def test_manifest_roundtrip_of_every_option(spec_file, tmp_path):
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    argv = ["run", "--config", spec_file, "--out", a, "--method", "clgid-fast",
+            "--seed", "4", "--lambda", "0.5", "--threshold", "0.3",
+            "--floor", "0.1", "--iterations", "3", "--batch-size", "3",
+            *SWITCHES]
+    first = cli.build_parser().parse_args(argv)
+    for flag, dest, _, default in cli.RUN_OPTIONS:
+        assert getattr(first, dest) != default, flag
+    assert main(argv) == EXIT_OK
+
+    manifest = os.path.join(a, "manifest.txt")
+    rerun = argparse.Namespace()
+    cli.load_manifest_args(manifest, rerun)
+    for dest in ["method", "seed", *(d for _, d, _, _ in cli.RUN_OPTIONS)]:
+        assert getattr(rerun, dest) == getattr(first, dest), dest
+    assert main(["run", "--manifest", manifest, "--out", b]) == EXIT_OK
+    for name in ("memory.csv", "generalization.csv", "cost.csv", "manifest.txt"):
+        assert _read(os.path.join(a, name)) == _read(os.path.join(b, name))
+
+
 # ---------------------------------------------------------------------------
 # gen / similarity / cost
 # ---------------------------------------------------------------------------
@@ -335,3 +479,28 @@ def test_compare_merges_runs(spec_file, tmp_path):
 
 def test_compare_missing_dir(tmp_path):
     assert main(["compare", str(tmp_path / "ghost")]) == EXIT_MISSING_FILE
+
+
+def _run_dir_with(tmp_path, spec_file, name, text):
+    out = str(tmp_path / "r")
+    assert _run(spec_file, out) == EXIT_OK
+    path = os.path.join(out, name)
+    with open(path, "w") as fh:
+        fh.write(text)
+    return out, path
+
+
+@pytest.mark.parametrize("name, text", [
+    ("memory.csv", "stage,dataset,psnr,ssim\n"),
+    ("memory.csv", "stage,dataset,psnr,ssim\n1,1,abc,0.5\n"),
+    ("memory.csv", "stage,dataset,psnr\n1,1,20.0\n"),
+    ("generalization.csv", "stage,psnr,ssim\n"),
+    ("generalization.csv", "stage,psnr,ssim\n1,20.0\n"),
+], ids=["memory-header-only", "memory-non-numeric", "memory-missing-column",
+        "holdout-header-only", "holdout-short-row"])
+def test_compare_malformed_run_csv_exits_2(spec_file, tmp_path, capsys, name, text):
+    run_dir, path = _run_dir_with(tmp_path, spec_file, name, text)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", run_dir, "--out", str(out)]) == EXIT_BAD_KEY
+    assert path in capsys.readouterr().err
+    assert not out.exists()

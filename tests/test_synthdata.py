@@ -149,6 +149,19 @@ def test_export_dataset(tmp_path):
     assert "id=exp" in text and "pair_count=2" in text
 
 
+def test_export_spec_lines_in_field_order(tmp_path):
+    ds = make_dataset(dataset_spec("exp", 4, pairs=2, size=16))
+    synthdata.export_dataset(ds, tmp_path)
+    lines = (tmp_path / "exp" / "spec.txt").read_text().splitlines()
+    assert lines[:4] == ["id=exp", "pair_count=2", "image_size=16", "seed=4"]
+    r = ds.spec.rain
+    assert lines[4:] == [
+        f"angle_mean={r.angle_mean}", f"angle_std={r.angle_std}",
+        f"length_mean={r.length_mean}", f"length_std={r.length_std}",
+        f"width={r.width}", f"density={r.density}",
+        f"intensity_mean={r.intensity_mean}", f"intensity_std={r.intensity_std}"]
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError):
         DatasetSpec(id="x", pair_count=0, seed=1, rain=rain_params())

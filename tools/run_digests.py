@@ -1,8 +1,10 @@
-"""Print SHA-256 digests of the run CSVs for a fixed small stream.
+"""Print SHA-256 digests of the run and gen outputs for a fixed small stream.
 
 Runs ``rainreplay run`` on one fixed four-dataset spec for six method
 configurations and prints, per configuration, the digest of each of
-``memory.csv``, ``generalization.csv`` and ``cost.csv``. A refactor that
+``memory.csv``, ``generalization.csv``, ``cost.csv`` and ``manifest.txt``.
+Then runs ``rainreplay gen`` on the same spec and prints the digest of every
+file it writes (each dataset's ``spec.txt`` and PPM pairs). A refactor that
 must not change results leaves every printed digest unchanged:
 
     python3 tools/run_digests.py > before.txt   # on the old checkout
@@ -51,7 +53,17 @@ CONFIGS = (
     ("sf", ["--method", "sf"]),
     ("individual", ["--method", "individual"]),
 )
-CSVS = ("memory.csv", "generalization.csv", "cost.csv")
+RUN_FILES = ("memory.csv", "generalization.csv", "cost.csv", "manifest.txt")
+
+
+def _digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _main(args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(args)
 
 
 def main():
@@ -61,15 +73,19 @@ def main():
             fh.write(SPEC)
         for k, (label, extra) in enumerate(CONFIGS):
             out = os.path.join(tmp, f"run{k}")
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run", "--config", spec, "--out", out,
-                                 "--iterations", "30", "--batch-size", "2", *extra])
+            code = _main(["run", "--config", spec, "--out", out,
+                          "--iterations", "30", "--batch-size", "2", *extra])
             if code != cli.EXIT_OK:
                 raise SystemExit(f"{label}: exit code {code}")
-            for name in CSVS:
-                with open(os.path.join(out, name), "rb") as fh:
-                    digest = hashlib.sha256(fh.read()).hexdigest()
-                print(f"{label:<20} {name:<20} {digest}")
+            for name in RUN_FILES:
+                print(f"{label:<20} {name:<20} {_digest(os.path.join(out, name))}")
+        data = os.path.join(tmp, "data")
+        if _main(["gen", "--config", spec, "--out", data]) != cli.EXIT_OK:
+            raise SystemExit("gen: nonzero exit code")
+        for ds in sorted(os.listdir(data)):
+            for name in sorted(os.listdir(os.path.join(data, ds))):
+                print(f"{'gen':<20} {ds + '/' + name:<20} "
+                      f"{_digest(os.path.join(data, ds, name))}")
 
 
 if __name__ == "__main__":
