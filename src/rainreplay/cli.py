@@ -8,9 +8,10 @@ simulation), compare (merge run outputs into one comparison CSV).
 
 Config files are plain UTF-8 key=value lines with '#' comments; unknown keys
 are rejected. Exit codes: 0 success; 2 malformed or unknown config key,
-out-of-range option value, config file that is not UTF-8, or run CSV given
-to compare with no rows or a malformed cell; 3 missing file; 4 unknown
-method; 1 anything else.
+out-of-range option value, config file that is not UTF-8, run option given
+beside ``run --manifest`` (which sets them all), or run CSV given to compare
+with no rows or a malformed cell; 3 missing file; 4 unknown method; 1
+anything else.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ RUN_OPTIONS = (
     ("--no-replay", "no_replay", bool, False),
     ("--no-distill", "no_distill", bool, False),
 )
+# Every run option a manifest sets, as (flag, dest).
+_MANIFEST_SET = (("--config", "config"), ("--seed", "seed"), ("--method", "method"),
+                 *((flag, dest) for flag, dest, _, _ in RUN_OPTIONS))
 
 _GLOBAL_KEYS = {"image_size", "pair_count", "seed", "datasets"}
 _RAIN_DEFAULTS = {
@@ -233,6 +237,17 @@ def load_manifest_args(path, args):
     return {k[5:]: v for k, v in raw.items() if k.startswith("spec.")}
 
 
+def reject_options_beside_manifest(argv):
+    """Exit 2 naming each run option ``argv`` gives beside ``--manifest``,
+    which sets them all. Parsed with no defaults, so a given option counts
+    even at its default value."""
+    given = vars(build_parser(run_defaults=False).parse_args(argv))
+    flags = [flag for flag, dest in _MANIFEST_SET if dest in given]
+    if flags:
+        raise CliError(f"--manifest sets every run option; also given: "
+                       f"{', '.join(flags)}", EXIT_BAD_KEY)
+
+
 def cmd_gen(args):
     stream, _, _ = parse_stream_spec(parse_kv_file(args.config), args.config)
     os.makedirs(args.out, exist_ok=True)
@@ -277,8 +292,7 @@ def cmd_similarity(args):
     seed = args.seed if args.seed is not None else spec_seed
     run_defaults = build_parser().parse_args(["run", "--out", os.devnull])
     cfg = build_stage_config(run_defaults, seed)
-    chain = pipeline.memory_chain(
-        [train for train, _ in pipeline.stream_splits(stream)], cfg)
+    chain = pipeline.memory_chain(pipeline.training_sets(stream), cfg)
     for n, (spec, step) in enumerate(zip(stream, chain), start=1):
         sim = step.similarity
         if sim.s_min is None:
@@ -372,13 +386,18 @@ def cmd_compare(args):
     return EXIT_OK
 
 
-def build_parser():
+def build_parser(run_defaults=True):
+    """The command-line parser. With ``run_defaults=False`` the run options a
+    manifest sets have no default, so a parse holds only those given."""
     p = argparse.ArgumentParser(prog="rainreplay", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--config", help="stream spec file (key=value)")
-        sp.add_argument("--seed", type=int, default=None)
+    def add_common(sp, default=None):
+        sp.add_argument("--config", default=default, help="stream spec file (key=value)")
+        sp.add_argument("--seed", type=int, default=default)
+
+    def run_default(value):
+        return value if run_defaults else argparse.SUPPRESS
 
     g = sub.add_parser("gen", help="materialize datasets to PPM")
     add_common(g)
@@ -386,15 +405,17 @@ def build_parser():
     g.set_defaults(func=cmd_gen)
 
     r = sub.add_parser("run", help="execute a method and write reports")
-    add_common(r)
+    add_common(r, run_default(None))
     r.add_argument("--out", required=True)
-    r.add_argument("--method", default="clgid")
-    r.add_argument("--manifest", help="rerun from a previously written manifest")
+    r.add_argument("--method", default=run_default("clgid"))
+    r.add_argument("--manifest", help="rerun from a previously written manifest; "
+                   "takes no other run option")
     for flag, dest, kind, default in RUN_OPTIONS:
         if kind is bool:
-            r.add_argument(flag, dest=dest, action="store_true")
+            r.add_argument(flag, dest=dest, action="store_true",
+                           default=run_default(False))
         else:
-            r.add_argument(flag, dest=dest, type=kind, default=default)
+            r.add_argument(flag, dest=dest, type=kind, default=run_default(default))
     r.set_defaults(func=cmd_run)
 
     s = sub.add_parser(
@@ -420,6 +441,8 @@ def main(argv=None):
         if getattr(args, "config", None) is None and args.command in (
                 "gen", "run", "similarity") and not getattr(args, "manifest", None):
             raise CliError("--config is required", EXIT_BAD_KEY)
+        if getattr(args, "manifest", None):
+            reject_options_beside_manifest(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -152,18 +152,23 @@ def sample_rain(gen: MemoryGenerator, z: np.ndarray, size: int) -> Image:
     if z.shape != (gen.latent_dim,):
         raise ShapeError(f"latent must have shape ({gen.latent_dim},), got {z.shape}")
     rng = np.random.default_rng(_latent_seed(z))
-    bin_width = 180.0 / ANGLE_BINS
-    streaks = []
-    for _ in range(streak_count(gen.density, size)):
-        b = rng.choice(ANGLE_BINS, p=gen.angle_hist)
-        angle = (b + rng.uniform()) * bin_width
-        length = float(min(max(rng.normal(gen.length_mean, gen.length_std), 2.0), size))
-        intensity = min(max(rng.normal(gen.intensity_mean, gen.intensity_std), 0.0), 1.0)
-        cy, cx = rng.uniform(0, size), rng.uniform(0, size)
-        streaks.append((cy, cx, angle, length, intensity))
-    cy, cx, angle, length, intensity = np.array(streaks, dtype=np.float64).reshape(-1, 5).T
+    # Per streak, in this order: two uniforms (angle bin, angle within the
+    # bin), two standard normals (length, intensity), two uniforms (cy, cx).
+    # The bin is the first uniform's place in the histogram's CDF, which is
+    # how Generator.choice(p=...) picks with one uniform.
+    draws = np.empty((streak_count(gen.density, size), 6))
+    for row in draws:
+        rng.random(out=row[:2])
+        rng.standard_normal(out=row[2:4])
+        rng.random(out=row[4:])
+    u_bin, u_angle, z_length, z_intensity, u_cy, u_cx = draws.T
+    cdf = gen.angle_hist.cumsum()
+    cdf /= cdf[-1]
+    angle = (cdf.searchsorted(u_bin, side="right") + u_angle) * (180.0 / ANGLE_BINS)
+    length = np.clip(gen.length_mean + gen.length_std * z_length, 2.0, size)
+    intensity = np.clip(gen.intensity_mean + gen.intensity_std * z_intensity, 0.0, 1.0)
     canvas = np.zeros((size, size))
-    draw_streak(canvas, cy, cx, angle, length, gen.width, intensity)
+    draw_streak(canvas, size * u_cy, size * u_cx, angle, length, gen.width, intensity)
     return Image(np.clip(canvas, 0.0, 1.0))
 
 
@@ -190,7 +195,7 @@ class ReplayDataset:
 def _compose_pair(gen, z, current: RainDataset, bg_index: int):
     size = current.spec.image_size
     layer = sample_rain(gen, z, size)
-    clean = current.clean_images[bg_index]
+    clean = current.pairs[bg_index][1]
     rainy = Image(np.clip(clean.data + layer.data, 0.0, 1.0))
     return rainy, clean
 

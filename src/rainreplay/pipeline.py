@@ -21,7 +21,9 @@ import numpy as np
 
 from . import imaging, memgen, restorer
 from .imaging import HogConfig, hog, kl_divergence, psnr, ssim
-from .synthdata import DatasetStream, RainDataset, make_dataset, make_holdout
+from .synthdata import (
+    ConfigError, DatasetStream, RainDataset, make_dataset, make_holdout,
+)
 
 TEST_FRACTION = 0.2
 
@@ -239,9 +241,14 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
     return state, log
 
 
+def train_count(pair_count: int) -> int:
+    """Training pairs of a dataset of ``pair_count`` pairs: the first ones,
+    leaving ``TEST_FRACTION`` of them, and at least one, as test pairs."""
+    return pair_count - max(1, int(round(TEST_FRACTION * pair_count)))
+
+
 def split_train_test(ds: RainDataset):
-    n_test = max(1, int(round(TEST_FRACTION * len(ds))))
-    n_train = len(ds) - n_test
+    n_train = train_count(len(ds))
     train = RainDataset(spec=ds.spec, pairs=ds.pairs[:n_train],
                         layers=ds.layers[:n_train] if ds.layers else [])
     test = ds.pairs[n_train:]
@@ -318,6 +325,18 @@ def stream_splits(stream: DatasetStream):
     return [split_train_test(make_dataset(spec)) for spec in stream]
 
 
+def training_sets(stream: DatasetStream):
+    """Each dataset's training split, built when it is reached and without
+    its test pairs. Pairs are seeded one by one, so each split equals
+    ``split_train_test(make_dataset(spec))[0]`` pair for pair."""
+    for spec in stream:
+        n_train = train_count(spec.pair_count)
+        if n_train < 1:
+            raise ConfigError(f"dataset {spec.id!r}: {spec.pair_count} pair "
+                              f"leaves no training pair")
+        yield make_dataset(replace(spec, pair_count=n_train))
+
+
 def _setup(stream: DatasetStream, cfg: StageConfig, holdout):
     splits = stream_splits(stream)
     if holdout is None:
@@ -384,8 +403,7 @@ def selective_chain(stream: DatasetStream, threshold: float, seed: int):
     thresholds without touching the restorer.
     """
     cfg = StageConfig(selective=True, reuse=False, threshold=threshold, seed=seed)
-    chain = memory_chain([train for train, _ in stream_splits(stream)], cfg)
-    return [step.delta for step in chain]
+    return [step.delta for step in memory_chain(training_sets(stream), cfg)]
 
 
 # ---------------------------------------------------------------------------

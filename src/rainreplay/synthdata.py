@@ -226,16 +226,20 @@ def _draw_pixels(flat, size_x, pixels, counts, ints, floats, cover):
 def render_rain_layer(params: RainParams, size: int, seed: int) -> Image:
     """Rasterize a 1-channel additive streak layer, saturated at 1."""
     rng = np.random.default_rng(seed)
-    streaks = []
-    for _ in range(streak_count(params.density, size)):
-        angle = rng.normal(params.angle_mean, params.angle_std) % 180.0
-        length = float(min(max(rng.normal(params.length_mean, params.length_std), 2.0), size))
-        intensity = min(max(rng.normal(params.intensity_mean, params.intensity_std), 0.0), 1.0)
-        cy, cx = rng.uniform(0, size), rng.uniform(0, size)
-        streaks.append((cy, cx, angle, length, intensity))
-    cy, cx, angle, length, intensity = np.array(streaks, dtype=np.float64).reshape(-1, 5).T
+    # Per streak, in this order: three standard normals (angle, length,
+    # intensity), then two uniforms (cy, cx). Drawn row by row into one
+    # array, then mapped, so the streams match one scalar call per field.
+    draws = np.empty((streak_count(params.density, size), 5))
+    for row in draws:
+        rng.standard_normal(out=row[:3])
+        rng.random(out=row[3:])
+    z_angle, z_length, z_intensity, u_cy, u_cx = draws.T
+    angle = (params.angle_mean + params.angle_std * z_angle) % 180.0
+    length = np.clip(params.length_mean + params.length_std * z_length, 2.0, size)
+    intensity = np.clip(params.intensity_mean + params.intensity_std * z_intensity,
+                        0.0, 1.0)
     canvas = np.zeros((size, size))
-    draw_streak(canvas, cy, cx, angle, length, params.width, intensity)
+    draw_streak(canvas, size * u_cy, size * u_cx, angle, length, params.width, intensity)
     return Image(np.clip(canvas, 0.0, 1.0))
 
 

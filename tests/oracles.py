@@ -1,10 +1,13 @@
 """Reference computations that only the tests use: finite-difference gradient
-checks for the restorer and closed forms for the replay-cache accounting."""
+checks for the restorer, closed forms for the replay-cache accounting, and
+the one-scalar-call-per-field streak draws of the rain renderers."""
 
 import numpy as np
 
-from rainreplay import restorer
+from rainreplay import memgen, restorer
+from rainreplay.imaging import Image
 from rainreplay.restorer import LAYER_SHAPES
+from rainreplay.synthdata import draw_streak, streak_count
 
 
 def backward(state, x, target, prev_out=None, lam=0.0):
@@ -79,3 +82,39 @@ def replay_cost_reuse_retained(sizes) -> float:
 def rounding_slack(n_stages: int) -> int:
     """Integer-split rounding slack: up to (n-1) per stage."""
     return sum(n - 1 for n in range(2, n_stages + 1))
+
+
+def render_rain_layer_scalar(params, size: int, seed: int) -> Image:
+    """``synthdata.render_rain_layer`` with one scalar RNG call per streak
+    field, in the order the program draws them."""
+    rng = np.random.default_rng(seed)
+    streaks = []
+    for _ in range(streak_count(params.density, size)):
+        angle = rng.normal(params.angle_mean, params.angle_std) % 180.0
+        length = float(min(max(rng.normal(params.length_mean, params.length_std), 2.0), size))
+        intensity = min(max(rng.normal(params.intensity_mean, params.intensity_std), 0.0), 1.0)
+        cy, cx = rng.uniform(0, size), rng.uniform(0, size)
+        streaks.append((cy, cx, angle, length, intensity))
+    cy, cx, angle, length, intensity = np.array(streaks, dtype=np.float64).reshape(-1, 5).T
+    canvas = np.zeros((size, size))
+    draw_streak(canvas, cy, cx, angle, length, params.width, intensity)
+    return Image(np.clip(canvas, 0.0, 1.0))
+
+
+def sample_rain_scalar(gen, z, size: int) -> Image:
+    """``memgen.sample_rain`` with one scalar RNG call per streak field (the
+    angle bin by ``Generator.choice``), in the order the program draws them."""
+    rng = np.random.default_rng(memgen._latent_seed(np.asarray(z, dtype=np.float64)))
+    bin_width = 180.0 / memgen.ANGLE_BINS
+    streaks = []
+    for _ in range(streak_count(gen.density, size)):
+        b = rng.choice(memgen.ANGLE_BINS, p=gen.angle_hist)
+        angle = (b + rng.uniform()) * bin_width
+        length = float(min(max(rng.normal(gen.length_mean, gen.length_std), 2.0), size))
+        intensity = min(max(rng.normal(gen.intensity_mean, gen.intensity_std), 0.0), 1.0)
+        cy, cx = rng.uniform(0, size), rng.uniform(0, size)
+        streaks.append((cy, cx, angle, length, intensity))
+    cy, cx, angle, length, intensity = np.array(streaks, dtype=np.float64).reshape(-1, 5).T
+    canvas = np.zeros((size, size))
+    draw_streak(canvas, cy, cx, angle, length, gen.width, intensity)
+    return Image(np.clip(canvas, 0.0, 1.0))

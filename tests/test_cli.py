@@ -186,6 +186,29 @@ OUT_OF_RANGE = [("--iterations", "-3"), ("--batch-size", "0"),
                 ("--threshold", "1.5"), ("--floor", "2"), ("--lambda", "-1")]
 
 
+@pytest.mark.parametrize("extra", [
+    ["--iterations", "1"], ["--iterations", "4"], ["--method", "sf"],
+    ["--method", "clgid"], ["--seed", "3"], ["--config", "SPEC"],
+    ["--lambda", "0.5"], ["--batch-size", "2"], ["--threshold", "0.4"],
+    ["--floor", "0.05"], ["--no-replay"], ["--no-speedup"], ["--no-reuse"],
+    ["--no-selective"], ["--no-distill"],
+    ["--iterations", "1", "--method", "sf", "--no-replay"],
+], ids=lambda extra: "_".join(extra))
+def test_run_option_beside_manifest_exits_2(spec_file, tmp_path, capsys, extra):
+    """--manifest sets every run option, so any option given beside it, even
+    at the manifest's or the default value, exits 2 naming it."""
+    path = tmp_path / "manifest.txt"
+    path.write_text(MANIFEST)
+    extra = [spec_file if a == "SPEC" else a for a in extra]
+    out = tmp_path / "o"
+    code = main(["run", "--manifest", str(path), "--out", str(out), *extra])
+    assert code == EXIT_BAD_KEY
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in extra if flag.startswith("--"))
+    assert not out.exists()
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("flag, bad", OUT_OF_RANGE)
 def test_out_of_range_option_exits_2(spec_file, tmp_path, capsys, flag, bad):
     out = tmp_path / "o"

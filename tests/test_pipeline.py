@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from rainreplay import memgen, pipeline
+from rainreplay import memgen, pipeline, synthdata
 from rainreplay.pipeline import (
     SimilarityReport, StageConfig, baseline_individual, baseline_sf,
     derive_seed, run_stream, scaled_iterations, selective_chain, similarity,
-    write_reports,
+    split_train_test, training_sets, write_reports,
 )
-from rainreplay.synthdata import make_dataset, make_stream
+from rainreplay.synthdata import ConfigError, make_dataset, make_stream
 
 from conftest import dataset_spec
 from test_acceptance import _reference_stream
@@ -276,6 +276,50 @@ def test_individual_memory_is_diagonal():
     stream = _stream([30.0, 90.0, 150.0], pairs=5)
     report = baseline_individual(stream, _tiny_cfg(iterations=5))
     assert set(report.memory) == {(1, 1), (2, 2), (3, 3)}
+
+
+# ---------------------------------------------------------------------------
+# training splits
+# ---------------------------------------------------------------------------
+
+
+def test_training_sets_build_only_the_training_pairs(monkeypatch):
+    # 2, 5, 10, 11 and 13 pairs hold 1, 4, 8, 9 and 10 training pairs.
+    stream = make_stream([
+        dataset_spec(f"d{k}", 70 + k, angle=30.0 * k, pairs=pairs, size=16)
+        for k, pairs in enumerate((2, 5, 10, 11, 13), start=1)])
+    splits = [split_train_test(make_dataset(spec))[0] for spec in stream]
+    assert [len(train) for train in splits] == [1, 4, 8, 9, 10]
+
+    made = []
+    make_pair = synthdata.make_pair
+
+    def counted(spec, m):
+        made.append((spec.id, m))
+        return make_pair(spec, m)
+
+    monkeypatch.setattr(synthdata, "make_pair", counted)
+    built = training_sets(stream)
+    first = next(built)
+    assert made == [("d1", 0)]
+    built = [first, *built]
+    assert made == [(spec.id, m) for spec, train in zip(stream, splits)
+                    for m in range(len(train))]
+    for train, want in zip(built, splits, strict=True):
+        assert train.spec.id == want.spec.id
+        for got, ref in zip(train.pairs, want.pairs, strict=True):
+            assert all(np.array_equal(a.data, b.data) for a, b in zip(got, ref))
+        for got, ref in zip(train.layers, want.layers, strict=True):
+            assert np.array_equal(got.data, ref.data)
+
+
+def test_training_sets_reject_a_dataset_with_no_training_pair():
+    stream = make_stream([dataset_spec("d1", 70, pairs=2, size=16),
+                          dataset_spec("d2", 71, pairs=1, size=16)])
+    built = training_sets(stream)
+    assert len(next(built)) == 1
+    with pytest.raises(ConfigError, match="'d2': 1 pair leaves no training pair"):
+        next(built)
 
 
 # ---------------------------------------------------------------------------

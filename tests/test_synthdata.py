@@ -12,6 +12,7 @@ from rainreplay.synthdata import (
     make_stream, render_rain_layer, streak_count,
 )
 
+import oracles
 from conftest import dataset_spec, rain_params
 
 
@@ -329,3 +330,56 @@ def test_one_call_equals_streak_by_streak_calls(streaks, width, chunk, view, see
     for s in streaks:
         _oracle_streak(canvas(want), *s[:4], width, s[4])
     assert np.array_equal(batch, want)
+
+
+# ---------------------------------------------------------------------------
+# the streak draws
+# ---------------------------------------------------------------------------
+
+DRAW_SIZES = [16, 23, 32, 47, 64]
+# Criterion 6's three styles, and rain too sparse for a single streak.
+DRAW_STYLES = {
+    "heavy-30": rain_params(angle=30.0, density=60.0, intensity=0.85),
+    "light-90": rain_params(angle=90.0, density=8.0, intensity=0.3),
+    "light-150": rain_params(angle=150.0, density=10.0, intensity=0.35),
+    "no-streaks": rain_params(density=0.01),
+}
+
+
+def _generator(hist, density):
+    hist = np.asarray(hist, dtype=np.float64)
+    return memgen.MemoryGenerator(
+        id="g", angle_hist=hist / hist.sum(), length_mean=14.0, length_std=8.0,
+        width=1.5, density=density, intensity_mean=0.6, intensity_std=0.4)
+
+
+# Empty bins at both ends and between full ones; all mass in one bin; rain
+# too sparse for a single streak. The wide length and intensity spreads make
+# both clips bind.
+DRAW_GENERATORS = {
+    "zero-bins": _generator([0, 0, 3, 0, 1, 5, 0, 0, 2, 1, 0, 4, 0, 0, 1, 2, 0, 0], 30.0),
+    "one-bin": _generator([0] * 7 + [1] + [0] * 10, 20.0),
+    "no-streaks": _generator(np.ones(memgen.ANGLE_BINS), 0.01),
+}
+
+
+@pytest.mark.parametrize("style", sorted(DRAW_STYLES))
+@pytest.mark.parametrize("size", DRAW_SIZES)
+def test_render_rain_layer_equals_scalar_draws(style, size):
+    params = DRAW_STYLES[style]
+    assert (streak_count(params.density, size) == 0) == (style == "no-streaks")
+    for seed in range(25):
+        want = oracles.render_rain_layer_scalar(params, size, seed)
+        assert np.array_equal(render_rain_layer(params, size, seed).data, want.data)
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_GENERATORS))
+@pytest.mark.parametrize("size", DRAW_SIZES)
+def test_sample_rain_equals_scalar_draws(name, size):
+    gen = DRAW_GENERATORS[name]
+    assert (streak_count(gen.density, size) == 0) == (name == "no-streaks")
+    rng = np.random.default_rng(size)
+    for _ in range(25):
+        z = rng.standard_normal(gen.latent_dim)
+        want = oracles.sample_rain_scalar(gen, z, size)
+        assert np.array_equal(memgen.sample_rain(gen, z, size).data, want.data)

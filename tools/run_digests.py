@@ -4,8 +4,9 @@ Runs ``rainreplay run`` on one fixed four-dataset spec for six method
 configurations and prints, per configuration, the digest of each of
 ``memory.csv``, ``generalization.csv``, ``cost.csv`` and ``manifest.txt``.
 Then runs ``rainreplay gen`` on the same spec and prints the digest of every
-file it writes (each dataset's ``spec.txt`` and PPM pairs). A refactor that
-must not change results leaves every printed digest unchanged:
+file it writes (each dataset's ``spec.txt`` and PPM pairs), and the digest of
+what ``rainreplay similarity`` prints for it. A refactor that must not change
+results leaves every printed digest unchanged:
 
     python3 tools/run_digests.py > before.txt   # on the old checkout
     python3 tools/run_digests.py > after.txt    # on the new checkout
@@ -62,8 +63,9 @@ def _digest(path):
 
 
 def _main(args):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(args)
+    """``cli.main(args)``'s exit code and what it printed."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        return cli.main(args), out.getvalue()
 
 
 def main():
@@ -73,19 +75,24 @@ def main():
             fh.write(SPEC)
         for k, (label, extra) in enumerate(CONFIGS):
             out = os.path.join(tmp, f"run{k}")
-            code = _main(["run", "--config", spec, "--out", out,
-                          "--iterations", "30", "--batch-size", "2", *extra])
+            code, _ = _main(["run", "--config", spec, "--out", out,
+                             "--iterations", "30", "--batch-size", "2", *extra])
             if code != cli.EXIT_OK:
                 raise SystemExit(f"{label}: exit code {code}")
             for name in RUN_FILES:
                 print(f"{label:<20} {name:<20} {_digest(os.path.join(out, name))}")
         data = os.path.join(tmp, "data")
-        if _main(["gen", "--config", spec, "--out", data]) != cli.EXIT_OK:
+        if _main(["gen", "--config", spec, "--out", data])[0] != cli.EXIT_OK:
             raise SystemExit("gen: nonzero exit code")
         for ds in sorted(os.listdir(data)):
             for name in sorted(os.listdir(os.path.join(data, ds))):
                 print(f"{'gen':<20} {ds + '/' + name:<20} "
                       f"{_digest(os.path.join(data, ds, name))}")
+        code, printed = _main(["similarity", "--config", spec])
+        if code != cli.EXIT_OK:
+            raise SystemExit("similarity: nonzero exit code")
+        print(f"{'similarity':<20} {'stdout':<20} "
+              f"{hashlib.sha256(printed.encode()).hexdigest()}")
 
 
 if __name__ == "__main__":
