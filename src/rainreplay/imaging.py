@@ -1,7 +1,9 @@
 """Image container, pixel I/O, quality metrics, and gradient-orientation descriptors.
 
-Everything in this module is a pure function on immutable inputs; arrays are
-float64 in [0, 1] unless stated otherwise.
+Everything in this module is a pure function on immutable inputs, except the
+border helpers that work in place and the optional output buffers of the
+padding and Laplacian helpers; arrays are float64 in [0, 1] unless stated
+otherwise.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 LAPLACIAN_KERNEL = np.array(
     [[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]]
 )
+# (k, l, coefficient) of each nonzero tap, in row-major order
+_LAPLACIAN_TAPS = [(k, l, c) for (k, l), c in np.ndenumerate(LAPLACIAN_KERNEL)
+                   if c != 0.0]
 
 
 class ShapeError(ValueError):
@@ -217,10 +222,11 @@ def kl_divergence(p: HogDescriptor, q: HogDescriptor) -> float:
     return float(np.sum(pv * np.log(pv / qv)))
 
 
-def pad_replicate(x: np.ndarray) -> np.ndarray:
-    """x padded by one replicated pixel on each side of its last two axes."""
+def pad_replicate(x: np.ndarray, out=None) -> np.ndarray:
+    """x padded by one replicated pixel on each side of its last two axes,
+    written into ``out`` if given."""
     h, w = x.shape[-2:]
-    xp = np.empty(x.shape[:-2] + (h + 2, w + 2))
+    xp = np.empty(x.shape[:-2] + (h + 2, w + 2)) if out is None else out
     xp[..., 1:-1, 1:-1] = x
     return fill_replicate_border(xp)
 
@@ -234,11 +240,6 @@ def fill_replicate_border(xp: np.ndarray) -> np.ndarray:
     xp[..., :, 0] = xp[..., :, 1]
     xp[..., :, -1] = xp[..., :, -2]
     return xp
-
-
-def pad_replicate_adjoint(dxp: np.ndarray) -> np.ndarray:
-    """Adjoint of ``pad_replicate``: fold the border back onto the edge pixels."""
-    return fold_replicate_border(dxp.copy())[..., 1:-1, 1:-1]
 
 
 def fold_replicate_border(dxp: np.ndarray) -> np.ndarray:
@@ -261,32 +262,34 @@ def fold_replicate_border(dxp: np.ndarray) -> np.ndarray:
     return dxp
 
 
-def laplacian_batch(x: np.ndarray) -> np.ndarray:
+def laplacian_batch(x: np.ndarray, out=None, *, padded=None, tmp=None) -> np.ndarray:
     """4-neighbor Laplacian over the last two axes, replicate-padded borders.
 
-    The taps are summed in ``LAPLACIAN_KERNEL`` row-major order.
+    The taps are summed in ``LAPLACIAN_KERNEL`` row-major order. Optional
+    buffers: ``out`` for the result, ``padded`` for x's padded frame and
+    ``tmp`` for one tap's term, shaped like x.
     """
-    xp = pad_replicate(x)
+    xp = pad_replicate(x, out=padded)
     h, w = x.shape[-2:]
-    out = np.zeros(x.shape)
-    for k in range(3):
-        for l in range(3):
-            c = LAPLACIAN_KERNEL[k, l]
-            if c != 0.0:
-                out += c * xp[..., k : k + h, l : l + w]
+    out = np.empty(x.shape) if out is None else out
+    out.fill(0.0)
+    tmp = np.empty(x.shape) if tmp is None else tmp
+    for k, l, c in _LAPLACIAN_TAPS:
+        out += np.multiply(xp[..., k : k + h, l : l + w], c, out=tmp)
     return out
 
 
-def laplacian_batch_adjoint(dout: np.ndarray) -> np.ndarray:
-    """Adjoint of ``laplacian_batch``."""
+def laplacian_batch_adjoint(dout: np.ndarray, out=None, *, tmp=None) -> np.ndarray:
+    """Adjoint of ``laplacian_batch``, returned as the interior of a padded
+    frame, ``out`` if given; ``tmp``, shaped like dout, may hold one tap's
+    term."""
     h, w = dout.shape[-2:]
-    dxp = np.zeros(dout.shape[:-2] + (h + 2, w + 2))
-    for k in range(3):
-        for l in range(3):
-            c = LAPLACIAN_KERNEL[k, l]
-            if c != 0.0:
-                dxp[..., k : k + h, l : l + w] += c * dout
-    return pad_replicate_adjoint(dxp)
+    dxp = np.empty(dout.shape[:-2] + (h + 2, w + 2)) if out is None else out
+    dxp.fill(0.0)
+    tmp = np.empty(dout.shape) if tmp is None else tmp
+    for k, l, c in _LAPLACIAN_TAPS:
+        dxp[..., k : k + h, l : l + w] += np.multiply(dout, c, out=tmp)
+    return fold_replicate_border(dxp)[..., 1:-1, 1:-1]
 
 
 def laplacian(img: Image) -> np.ndarray:

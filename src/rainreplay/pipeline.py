@@ -214,17 +214,20 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
         if f_prev is not None and cfg.lam > 0:
             teacher_out = _teacher_outputs(f_prev, replay_pairs, cfg.batch_size)
 
+    # Every batch of the stage has one shape, so its steps share one workspace.
+    rainy = new_pairs[0][0]
+    ws = restorer.Workspace((cfg.batch_size, 3, rainy.height, rainy.width))
     log = []
     for it in range(iterations):
         x_new, y_new, _ = sampler_new.next_batch()
-        l_new, grads = restorer.restoration_loss_grads(state, x_new, y_new)
+        l_new, grads = restorer.restoration_loss_grads(state, x_new, y_new, ws=ws)
 
         l_replay, l_consist = 0.0, 0.0
         if sampler_replay is not None:
             x_rep, y_rep, picked = sampler_replay.next_batch()
             prev_out = teacher_out[picked] if teacher_out is not None else None
             l_replay, l_consist, g_rep = restorer.replay_loss_grads(
-                state, x_rep, y_rep, prev_out, cfg.lam)
+                state, x_rep, y_rep, prev_out, cfg.lam, ws=ws)
             restorer.add_grads(grads, g_rep)
 
         l_interleave = l_replay + l_new
@@ -247,6 +250,15 @@ def train_count(pair_count: int) -> int:
     return pair_count - max(1, int(round(TEST_FRACTION * pair_count)))
 
 
+def _checked_train_count(spec) -> int:
+    """``train_count`` of spec's dataset; ConfigError if it leaves none."""
+    n_train = train_count(spec.pair_count)
+    if n_train < 1:
+        raise ConfigError(f"dataset {spec.id!r}: {spec.pair_count} pair "
+                          f"leaves no training pair")
+    return n_train
+
+
 def split_train_test(ds: RainDataset):
     n_train = train_count(len(ds))
     train = RainDataset(spec=ds.spec, pairs=ds.pairs[:n_train],
@@ -256,10 +268,15 @@ def split_train_test(ds: RainDataset):
 
 
 def evaluate(state, pairs):
-    """Mean PSNR/SSIM of clipped restorations over (rainy, clean) pairs."""
-    ps, ss = [], []
+    """Mean PSNR/SSIM of clipped restorations over (rainy, clean) pairs.
+    The pairs of one dataset share an image size, so their one-image
+    forwards share one workspace."""
+    ps, ss, ws = [], [], None
     for rainy, clean in pairs:
-        restored = restorer.restore_image(state, rainy)
+        if ws is None:
+            ws = restorer.Workspace((1, 3, rainy.height, rainy.width),
+                                    training=False)
+        restored = restorer.restore_image(state, rainy, ws=ws)
         ps.append(psnr(restored, clean))
         ss.append(ssim(restored, clean))
     return float(np.mean(ps)), float(np.mean(ss))
@@ -321,7 +338,10 @@ def memory_chain(train_sets, cfg: StageConfig):
 
 
 def stream_splits(stream: DatasetStream):
-    """Per dataset of the stream: (training set, test pairs)."""
+    """Per dataset of the stream: (training set, test pairs). ConfigError
+    before any dataset is built if one would have no training pair."""
+    for spec in stream:
+        _checked_train_count(spec)
     return [split_train_test(make_dataset(spec)) for spec in stream]
 
 
@@ -330,11 +350,7 @@ def training_sets(stream: DatasetStream):
     its test pairs. Pairs are seeded one by one, so each split equals
     ``split_train_test(make_dataset(spec))[0]`` pair for pair."""
     for spec in stream:
-        n_train = train_count(spec.pair_count)
-        if n_train < 1:
-            raise ConfigError(f"dataset {spec.id!r}: {spec.pair_count} pair "
-                              f"leaves no training pair")
-        yield make_dataset(replace(spec, pair_count=n_train))
+        yield make_dataset(replace(spec, pair_count=_checked_train_count(spec)))
 
 
 def _setup(stream: DatasetStream, cfg: StageConfig, holdout):

@@ -15,10 +15,22 @@ network, each activation is a channel-major replicate-padded frame,
 is nine shifted GEMMs accumulated into its output frame, with no 9C-row
 im2col matrix: the "kn2row" form of Anderson, Vasudevan & Gregg 2017
 ("Low-memory GEMM-based convolution algorithms for deep neural networks").
-The backward pass reads the cached input frames: per tap, one GEMM for dW
-and one accumulated into the dX frame, whose border is then folded back onto
-the edge pixels. Only the 3-channel first layer's forward stacks its slices
-into one 27-row matrix, which measured faster there.
+Only the 3-channel first layer stacks its nine tap slices, one image at a
+time, into a 27-row block for one GEMM per image, which measured faster.
+The backward pass reads each conv's cached input frame twice, for dW (one
+GEMM per tap) and for the ReLU mask, then writes the conv's input gradient
+over it: per tap one GEMM accumulated into the slice it read, and the border
+folded back onto the edge pixels.
+
+Every batch-sized array of a step lives in a ``Workspace`` built for one
+batch shape: the frames, the head's output frame (later its gradient), the
+prediction, the per-tap GEMM products and the loss temporaries, with arrays
+whose lifetimes do not overlap sharing memory (Chen et al. 2016, "Training
+Deep Nets with Sublinear Memory Cost"). A training stage keeps one, so a step
+allocates only parameter-sized arrays, and an evaluation keeps one for its
+one-image forwards; ``forward`` and the loss functions called without one
+build a throwaway workspace, ``forward``'s without the loss and backward
+buffers.
 
 All forward and backward math is straight numpy, so runs are bit-reproducible
 on one numpy/BLAS build; other builds may sum in another order and differ in
@@ -29,6 +41,7 @@ round an output column differently depending on where in the batch it lies.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -50,6 +63,11 @@ PARAM_COUNT = sum(int(np.prod(s)) for _, s in LAYER_SHAPES)
 _NAMES = [n for n, _ in LAYER_SHAPES]
 # (weight, bias) names of each conv, input to output
 _CONVS = tuple(zip(_NAMES[::2], _NAMES[1::2]))
+# (input, output) channels of each conv; the channels of each conv's input
+# frame and of the head's output frame; the widest hidden activation
+_CHANNELS = tuple((s[1], s[0]) for n, s in LAYER_SHAPES[::2])
+_FRAME_CHANNELS = tuple(ci for ci, _ in _CHANNELS) + _CHANNELS[-1][1:]
+_HIDDEN = max(ci for ci, _ in _CHANNELS[1:])
 
 MOMENTUM = 0.9  # SGD momentum of every step
 
@@ -115,6 +133,75 @@ def _unflatten(flat):
 
 
 # ---------------------------------------------------------------------------
+# Workspace
+# ---------------------------------------------------------------------------
+
+
+class Workspace:
+    """Every batch-sized array of a forward pass over (B, 3, H, W) batches
+    and, if ``training``, of a loss-and-gradient step too. A training stage
+    builds one and hands it to each step, so a step allocates only
+    parameter-sized arrays.
+
+    - ``frames[i]`` is conv i's padded channel-major input frame,
+      (C, B, H+2, W+2). Conv i writes its output into ``frames[i + 1]``, and
+      the head into ``top``; ``pred`` is x minus top's interior.
+    - ``scratch`` holds what one kernel needs at a time: the first layer's
+      stacked taps of one image, a conv's per-tap GEMM product, or the four
+      (B, 3, H, W) loss temporaries, which live between the forward and the
+      backward pass.
+    - Between those passes ``top`` is free, and the edge loss uses it as
+      ``padded``, a (B, 3, H+2, W+2) frame.
+    - ``mask`` holds one ReLU mask of the backward pass.
+    """
+
+    def __init__(self, shape, training=True):
+        shape = tuple(shape)
+        if len(shape) != 4 or shape[1] != 3:
+            raise ShapeError(f"expected (B, 3, H, W) batch, got {shape}")
+        bsz, c, h, w = shape
+        hp, wp = h + 2, w + 2
+        pixels = bsz * hp * wp
+        n = pixels - 2 * (wp + 1)  # flat positions a tap slice spans
+        m = hp * wp - 2 * (wp + 1)  # the same within one image
+        batch = bsz * c * h * w
+        scratch = max(9 * ci * m if ci <= _STACKED_MAX_CHANNELS else o * n
+                      for ci, o in _CHANNELS)
+        mask = 0
+        if training:
+            scratch = max(scratch, _HIDDEN * n, 4 * batch)
+            mask = -(-_HIDDEN * pixels // 8)
+        # One allocation, so that the allocator reuses it whole from one
+        # workspace to the next instead of trimming and faulting in its
+        # parts. The prediction is apart: the view that ``forward`` returns
+        # keeps only it alive.
+        sizes = [ci * pixels for ci in _FRAME_CHANNELS] + [scratch, mask]
+        buf, parts = np.empty(sum(sizes)), []
+        for k in sizes:
+            parts.append(buf[:k])
+            buf = buf[k:]
+        *self.frames, self.top = (a.reshape(ci, bsz, hp, wp)
+                                  for a, ci in zip(parts, _FRAME_CHANNELS))
+        self.shape = shape
+        self.pred = np.empty((c, bsz, h, w))
+        self.scratch = parts[-2]
+        if training:
+            self.dpred, self.tmp, self.lap, self.lap_target = (
+                self.scratch[k * batch : (k + 1) * batch].reshape(shape)
+                for k in range(4))
+            self.padded = self.top.reshape(bsz, c, hp, wp)
+            self.mask = parts[-1].view(bool)
+
+
+def _view(buf, shape):
+    """The first entries of flat buffer buf as an array of the given shape,
+    or a fresh array if buf is None."""
+    if buf is None:
+        return np.empty(shape)
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+# ---------------------------------------------------------------------------
 # Channel-major convolution and its adjoint
 # ---------------------------------------------------------------------------
 
@@ -131,38 +218,50 @@ def _flat_taps(xp):
     return xf, s, xf.shape[1] - 2 * s, taps
 
 
-def _conv3x3(xp, w, b):
+def _conv3x3(xp, w, b, out=None, scratch=None):
     """Replicate-padded 3x3 conv of a (C, B, H, W) activation x, given as its
-    padded frame xp = pad_replicate(x). Returns an (O, B, H+2, W+2) frame
-    whose interior is the conv output and whose border is unspecified.
+    padded frame xp = pad_replicate(x). Returns an (O, B, H+2, W+2) frame,
+    ``out`` if given, whose interior is the conv output and whose border is
+    unspecified. ``scratch`` is an optional flat buffer for the taps.
 
-    With 9C small (the 3-channel first layer) the nine tap slices are stacked
-    into one (9C, n) matrix for a single GEMM, which is fastest; otherwise
-    nine shifted GEMMs accumulate, and no 9C-row matrix is built."""
+    With 9C small (the 3-channel first layer) each image's nine tap slices
+    are stacked into one (9C, m) block for a single GEMM, which is fastest;
+    otherwise nine shifted GEMMs accumulate, and no 9C-row matrix is built."""
     c, bsz, hp, wp = xp.shape
     o = w.shape[0]
     xf, s, n, taps = _flat_taps(xp)
-    out = np.zeros((o, xf.shape[1]))
+    if out is None:
+        out = np.empty((o, bsz, hp, wp))
+    of = out.reshape(o, -1)
+    of.fill(0.0)
     if c <= _STACKED_MAX_CHANNELS:
-        cols = np.stack([xf[:, off : off + n] for _, _, off in taps], axis=1)
-        cols = cols.reshape(9 * c, n)
+        m = hp * wp - 2 * s
+        cols = _view(scratch, (9 * c, m))
+        # stacked[c, k, l, q] = xf[c, k*(W+2) + l + q], the nine tap slices:
+        # a strided view of xf's memory, only read
+        step = xf.strides[1]
+        stacked = np.ndarray((c, 3, 3, n), xf.dtype, xf, 0,
+                             (xf.strides[0], wp * step, step, step))
         # One GEMM per image, so an image's output does not depend on the
         # batch it is in.
-        m = hp * wp - 2 * s
         for i in range(0, bsz * hp * wp, hp * wp):
-            np.matmul(w.reshape(o, 9 * c), cols[:, i : i + m],
-                      out=out[:, s + i : s + i + m])
+            np.copyto(cols.reshape(c, 3, 3, m), stacked[..., i : i + m])
+            np.matmul(w.reshape(o, 9 * c), cols, out=of[:, s + i : s + i + m])
     else:
+        prod = _view(scratch, (o, n))
         for k, l, off in taps:
-            out[:, s : s + n] += w[:, :, k, l] @ xf[:, off : off + n]
-    out += b[:, None]
-    return out.reshape(o, bsz, hp, wp)
+            np.matmul(w[:, :, k, l], xf[:, off : off + n], out=prod)
+            of[:, s : s + n] += prod
+    of += b[:, None]
+    return out
 
 
-def _conv3x3_backward(xp, w, dout, need_dx=True):
+def _conv3x3_backward(xp, w, dout, need_dx=True, dx=None, scratch=None):
     """(dw, db, dx) of ``_conv3x3(xp, w, b)``. dout is the gradient of the
     output as an (O, B, H+2, W+2) frame with a zero border; dx, returned only
-    if need_dx, is the gradient of x in the same form.
+    if need_dx, is the gradient of x in the same form. It is written into
+    the frame ``dx`` if given, which may be xp itself: xp is read for dw
+    first. ``scratch`` is an optional flat buffer for the per-tap products.
 
     The zero border makes the positions that are not output pixels
     contribute nothing: dW of a tap is one GEMM against that tap's input
@@ -177,10 +276,15 @@ def _conv3x3_backward(xp, w, dout, need_dx=True):
     db = d.sum(axis=1)
     if not need_dx:
         return dw, db, None
-    dxp = np.zeros(xf.shape)
+    if dx is None:
+        dx = np.empty(xp.shape)
+    dxf = dx.reshape(xf.shape)
+    dxf.fill(0.0)
+    prod = _view(scratch, (xf.shape[0], n))
     for k, l, off in taps:
-        dxp[:, off : off + n] += w[:, :, k, l].T @ d
-    return dw, db, fold_replicate_border(dxp.reshape(xp.shape))
+        np.matmul(w[:, :, k, l].T, d, out=prod)
+        dxf[:, off : off + n] += prod
+    return dw, db, fold_replicate_border(dx)
 
 
 def _relu_padded(frame):
@@ -196,45 +300,59 @@ def _relu_padded(frame):
 # ---------------------------------------------------------------------------
 
 
-def _forward_cached(state, x):
-    """Prediction for a (B, 3, H, W) batch, as a (B, 3, H, W) view of a
-    channel-major array, and what ``_backprop`` reads: the list of padded
-    channel-major input frames, one per conv."""
+def _forward_cached(state, x, ws=None):
+    """Prediction for a (B, 3, H, W) batch, as a (B, 3, H, W) view of
+    ``ws.pred``, and the workspace ``ws``, whose frames ``_backprop`` reads.
+    Without ws, a training workspace is built for x."""
+    if ws is None:
+        ws = Workspace(x.shape)
+    if x.shape != ws.shape:
+        raise ShapeError(f"workspace holds batches of shape {ws.shape}, "
+                         f"got {x.shape}")
     p = state.params
-    xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
-    frames = [pad_replicate(xc)]
-    for w, b in _CONVS[:-1]:
-        frames.append(_relu_padded(_conv3x3(frames[-1], p[w], p[b])))
+    frames = ws.frames
+    pad_replicate(x.transpose(1, 0, 2, 3), out=frames[0])
+    for (w, b), xp, out in zip(_CONVS, frames, frames[1:]):
+        _relu_padded(_conv3x3(xp, p[w], p[b], out, ws.scratch))
     w, b = _CONVS[-1]
-    pred = xc - _conv3x3(frames[-1], p[w], p[b])[:, :, 1:-1, 1:-1]
-    return pred.transpose(1, 0, 2, 3), frames
+    _conv3x3(frames[-1], p[w], p[b], ws.top, ws.scratch)
+    np.subtract(x.transpose(1, 0, 2, 3), ws.top[:, :, 1:-1, 1:-1], out=ws.pred)
+    return ws.pred.transpose(1, 0, 2, 3), ws
 
 
-def forward(state: RestorerState, x: np.ndarray) -> np.ndarray:
-    """Unclipped restored batch x - head(x); clip only at evaluation time."""
-    if x.ndim != 4 or x.shape[1] != 3:
-        raise ShapeError(f"expected (B, 3, H, W) batch, got {x.shape}")
-    pred, _ = _forward_cached(state, x)
+def forward(state: RestorerState, x: np.ndarray, *, ws=None) -> np.ndarray:
+    """Unclipped restored batch x - head(x); clip only at evaluation time.
+    ``ws`` is an optional ``Workspace`` for x's shape; the result is then a
+    view into it, which its next pass overwrites."""
+    if ws is None:
+        ws = Workspace(x.shape, training=False)
+    pred, _ = _forward_cached(state, x, ws)
     return pred
 
 
-def _backprop(state, frames, dpred):
+def _backprop(state, ws, dpred):
     """Parameter gradients for dpred, the (B, 3, H, W) gradient of the
-    prediction, from the cached input frames. The convs run in reverse, each
-    taking the gradient frame of its output and leaving that of its input. A
-    ReLU output is positive exactly where its input is, so the cached input
-    frames give the ReLU masks; the gradient frames' zero borders stay zero
-    under them."""
+    prediction, from the input frames that ``_forward_cached`` left in ws.
+    The convs run in reverse, each taking the gradient frame of its output
+    (for the head, ``ws.top``) and writing that of its input over its input
+    frame, once dW and the ReLU mask are taken from it. A ReLU output is
+    positive exactly where its input is, so the input frames give the ReLU
+    masks; the gradient frames' zero borders stay zero under them."""
     p = state.params
     grads = dict.fromkeys(_NAMES)
-    d = np.zeros(frames[0].shape)  # pred = x - residual
+    d = ws.top
+    d.fill(0.0)
+    # pred = x - residual
     np.negative(dpred.transpose(1, 0, 2, 3), out=d[:, :, 1:-1, 1:-1])
     for i in reversed(range(len(_CONVS))):
         w, b = _CONVS[i]
-        grads[w], grads[b], d = _conv3x3_backward(frames[i], p[w], d,
-                                                  need_dx=i > 0)
+        xp = ws.frames[i]
         if i > 0:
-            d *= frames[i] > 0.0
+            mask = np.greater(xp, 0.0, out=_view(ws.mask, xp.shape))
+        grads[w], grads[b], d = _conv3x3_backward(xp, p[w], d, need_dx=i > 0,
+                                                  dx=xp, scratch=ws.scratch)
+        if i > 0:
+            d *= mask
     return grads
 
 
@@ -254,11 +372,18 @@ def _check_shapes(a, b):
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _charbonnier_terms(pred, target):
-    """Charbonnier loss of pred against target and its gradient in pred."""
-    d = pred - target
-    s = np.sqrt(d * d + CHARBONNIER_EPS * CHARBONNIER_EPS)
-    return float(np.mean(s)), d / (s * d.size)
+def _charbonnier_terms(pred, target, grad=None, tmp=None):
+    """Charbonnier loss of pred against target and its gradient in pred,
+    written into ``grad`` (which may be pred or target) with ``tmp`` as
+    scratch; either is a fresh array if not given."""
+    d = np.subtract(pred, target, out=grad)
+    s = np.multiply(d, d, out=tmp)
+    s += CHARBONNIER_EPS * CHARBONNIER_EPS
+    np.sqrt(s, out=s)
+    loss = float(np.mean(s))
+    s *= d.size
+    d /= s
+    return loss, d
 
 
 def charbonnier(pred, target):
@@ -266,11 +391,16 @@ def charbonnier(pred, target):
     return _charbonnier_terms(pred, target)[0]
 
 
-def _edge_terms(pred, target):
+def _edge_terms(pred, target, lap=None, lap_target=None, padded=None,
+                tmp=None):
     """Edge loss (Charbonnier of the Laplacians) of pred against target and
-    its gradient in pred; each Laplacian is taken once."""
-    loss, g_lap = _charbonnier_terms(laplacian_batch(pred), laplacian_batch(target))
-    return loss, laplacian_batch_adjoint(g_lap)
+    its gradient in pred, the interior of the frame ``padded``; each
+    Laplacian is taken once, into ``lap`` and ``lap_target``. The buffers
+    are optional."""
+    lap = laplacian_batch(pred, lap, padded=padded, tmp=tmp)
+    lap_target = laplacian_batch(target, lap_target, padded=padded, tmp=tmp)
+    loss, g_lap = _charbonnier_terms(lap, lap_target, lap, lap_target)
+    return loss, laplacian_batch_adjoint(g_lap, padded, tmp=tmp)
 
 
 def edge_loss(pred, target):
@@ -278,46 +408,57 @@ def edge_loss(pred, target):
     return _edge_terms(pred, target)[0]
 
 
+def _consistency_terms(out_a, out_b, grad=None, tmp=None):
+    """Mean absolute difference between two network outputs (L1) and its
+    gradient in out_a, written into ``grad`` with ``tmp`` as scratch."""
+    d = np.subtract(out_a, out_b, out=grad)
+    loss = float(np.mean(np.abs(d, out=tmp)))
+    np.sign(d, out=d)
+    d /= d.size
+    return loss, d
+
+
 def consistency_loss(out_a, out_b):
     """Mean absolute difference between two network outputs (L1)."""
     _check_shapes(out_a, out_b)
-    return float(np.mean(np.abs(out_a - out_b)))
+    return _consistency_terms(out_a, out_b)[0]
 
 
 def _consistency_grad(out_a, out_b):
-    return np.sign(out_a - out_b) / out_a.size
+    return _consistency_terms(out_a, out_b)[1]
 
 
-def _restoration_terms(pred, target):
-    """Charbonnier + edge loss of pred against target and its gradient in
-    pred."""
+def _loss_grads(state, x, target, prev_out, lam, ws):
+    """Charbonnier + edge loss, the consistency loss against prev_out if
+    given, and the parameter gradients of the lam-weighted total; every
+    batch-sized array lives in ws, or in a fresh workspace if it is None."""
+    pred, ws = _forward_cached(state, x, ws)
     _check_shapes(pred, target)
-    l_char, g_char = _charbonnier_terms(pred, target)
-    l_edge, g_edge = _edge_terms(pred, target)
-    return l_char + l_edge, g_char + g_edge
-
-
-def _loss_grads(state, x, target, prev_out, lam):
-    pred, cache = _forward_cached(state, x)
-    loss, dpred = _restoration_terms(pred, target)
+    l_char, dpred = _charbonnier_terms(pred, target, ws.dpred, ws.tmp)
+    l_edge, g_edge = _edge_terms(pred, target, ws.lap, ws.lap_target,
+                                 ws.padded, ws.tmp)
+    dpred += g_edge
     l_consist = 0.0
     if prev_out is not None:
-        l_consist = consistency_loss(pred, prev_out)
-        dpred = dpred + lam * _consistency_grad(pred, prev_out)
-    return loss, l_consist, _backprop(state, cache, dpred)
+        _check_shapes(pred, prev_out)
+        l_consist, g_consist = _consistency_terms(pred, prev_out, ws.tmp, ws.lap)
+        g_consist *= lam
+        dpred += g_consist
+    return l_char + l_edge, l_consist, _backprop(state, ws, dpred)
 
 
-def restoration_loss_grads(state, x, target):
+def restoration_loss_grads(state, x, target, *, ws=None):
     """Charbonnier + edge loss of forward(state, x) against target, with
-    parameter gradients."""
-    loss, _, grads = _loss_grads(state, x, target, None, 0.0)
+    parameter gradients. ``ws`` is an optional ``Workspace`` for x's shape."""
+    loss, _, grads = _loss_grads(state, x, target, None, 0.0, ws)
     return loss, grads
 
 
-def replay_loss_grads(state, x, target, prev_out, lam):
+def replay_loss_grads(state, x, target, prev_out, lam, *, ws=None):
     """Replay-batch losses: restoration terms plus the lam-weighted consistency
-    term against the frozen previous network's output."""
-    return _loss_grads(state, x, target, prev_out, lam)
+    term against the frozen previous network's output. ``ws`` is an optional
+    ``Workspace`` for x's shape."""
+    return _loss_grads(state, x, target, prev_out, lam, ws)
 
 
 def sgd_step(state: RestorerState, grads, lr=1e-2) -> RestorerState:
@@ -347,8 +488,9 @@ def images_to_batch(images) -> np.ndarray:
     return np.stack(arrs)
 
 
-def restore_image(state, img: Image) -> Image:
-    pred = forward(state, images_to_batch([img]))[0]
+def restore_image(state, img: Image, *, ws=None) -> Image:
+    """img restored and clipped; ``ws`` is an optional one-image workspace."""
+    pred = forward(state, images_to_batch([img]), ws=ws)[0]
     return Image(np.clip(np.transpose(pred, (1, 2, 0)), 0.0, 1.0))
 
 

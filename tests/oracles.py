@@ -1,11 +1,14 @@
 """Reference computations that only the tests use: finite-difference gradient
-checks for the restorer, closed forms for the replay-cache accounting, and
-the one-scalar-call-per-field streak draws of the rain renderers."""
+checks for the restorer, the allocating restorer step that the workspace
+step must match bit for bit, closed forms for the replay-cache accounting,
+and the one-scalar-call-per-field streak draws of the rain renderers."""
 
 import numpy as np
 
 from rainreplay import memgen, restorer
-from rainreplay.imaging import Image
+from rainreplay.imaging import (
+    LAPLACIAN_KERNEL, Image, fold_replicate_border, pad_replicate,
+)
 from rainreplay.restorer import LAYER_SHAPES
 from rainreplay.synthdata import draw_streak, streak_count
 
@@ -25,11 +28,11 @@ def kink_margin(state, x, prev_out=None):
     the probe step times the local sensitivity; fixtures for gradient checks
     should be chosen with a comfortable margin.
     """
-    pred, frames = restorer._forward_cached(state, x)
+    pred, ws = restorer._forward_cached(state, x)
     p = state.params
     margin = min(
         float(np.abs(restorer._conv3x3(xp, p[w], p[b])[:, :, 1:-1, 1:-1]).min())
-        for xp, (w, b) in zip(frames, restorer._CONVS[:-1]))
+        for xp, (w, b) in zip(ws.frames, restorer._CONVS[:-1]))
     if prev_out is not None:
         margin = min(margin, float(np.abs(pred - prev_out).min()))
     return margin
@@ -118,3 +121,111 @@ def sample_rain_scalar(gen, z, size: int) -> Image:
     canvas = np.zeros((size, size))
     draw_streak(canvas, cy, cx, angle, length, gen.width, intensity)
     return Image(np.clip(canvas, 0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# The restorer step with a fresh array for every batch-sized value: the
+# kernels, passes and loss terms as they were before the workspace.
+# ---------------------------------------------------------------------------
+
+
+def conv3x3_alloc(xp, w, b):
+    c, bsz, hp, wp = xp.shape
+    o = w.shape[0]
+    xf, s, n, taps = restorer._flat_taps(xp)
+    out = np.zeros((o, xf.shape[1]))
+    if c <= restorer._STACKED_MAX_CHANNELS:
+        cols = np.stack([xf[:, off : off + n] for _, _, off in taps], axis=1)
+        cols = cols.reshape(9 * c, n)
+        m = hp * wp - 2 * s
+        for i in range(0, bsz * hp * wp, hp * wp):
+            np.matmul(w.reshape(o, 9 * c), cols[:, i : i + m],
+                      out=out[:, s + i : s + i + m])
+    else:
+        for k, l, off in taps:
+            out[:, s : s + n] += w[:, :, k, l] @ xf[:, off : off + n]
+    out += b[:, None]
+    return out.reshape(o, bsz, hp, wp)
+
+
+def conv3x3_backward_alloc(xp, w, dout, need_dx=True):
+    o = w.shape[0]
+    xf, s, n, taps = restorer._flat_taps(xp)
+    d = dout.reshape(o, -1)[:, s : s + n]
+    dw = np.empty(w.shape)
+    for k, l, off in taps:
+        dw[:, :, k, l] = d @ xf[:, off : off + n].T
+    db = d.sum(axis=1)
+    if not need_dx:
+        return dw, db, None
+    dxp = np.zeros(xf.shape)
+    for k, l, off in taps:
+        dxp[:, off : off + n] += w[:, :, k, l].T @ d
+    return dw, db, fold_replicate_border(dxp.reshape(xp.shape))
+
+
+def forward_cached_alloc(state, x):
+    p = state.params
+    xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
+    frames = [pad_replicate(xc)]
+    for w, b in restorer._CONVS[:-1]:
+        frames.append(restorer._relu_padded(conv3x3_alloc(frames[-1], p[w], p[b])))
+    w, b = restorer._CONVS[-1]
+    pred = xc - conv3x3_alloc(frames[-1], p[w], p[b])[:, :, 1:-1, 1:-1]
+    return pred.transpose(1, 0, 2, 3), frames
+
+
+def backprop_alloc(state, frames, dpred):
+    p = state.params
+    grads = {}
+    d = np.zeros(frames[0].shape)
+    np.negative(dpred.transpose(1, 0, 2, 3), out=d[:, :, 1:-1, 1:-1])
+    for i in reversed(range(len(restorer._CONVS))):
+        w, b = restorer._CONVS[i]
+        grads[w], grads[b], d = conv3x3_backward_alloc(frames[i], p[w], d,
+                                                       need_dx=i > 0)
+        if i > 0:
+            d *= frames[i] > 0.0
+    return grads
+
+
+def _laplacian_alloc(x):
+    xp = pad_replicate(x)
+    h, w = x.shape[-2:]
+    out = np.zeros(x.shape)
+    for k in range(3):
+        for l in range(3):
+            c = LAPLACIAN_KERNEL[k, l]
+            if c != 0.0:
+                out += c * xp[..., k : k + h, l : l + w]
+    return out
+
+
+def _laplacian_adjoint_alloc(dout):
+    h, w = dout.shape[-2:]
+    dxp = np.zeros(dout.shape[:-2] + (h + 2, w + 2))
+    for k in range(3):
+        for l in range(3):
+            c = LAPLACIAN_KERNEL[k, l]
+            if c != 0.0:
+                dxp[..., k : k + h, l : l + w] += c * dout
+    return fold_replicate_border(dxp.copy())[..., 1:-1, 1:-1]
+
+
+def _charbonnier_alloc(pred, target):
+    d = pred - target
+    s = np.sqrt(d * d + restorer.CHARBONNIER_EPS * restorer.CHARBONNIER_EPS)
+    return float(np.mean(s)), d / (s * d.size)
+
+
+def loss_grads_alloc(state, x, target, prev_out=None, lam=0.0):
+    """(loss, l_consist, grads) of ``restorer.replay_loss_grads``."""
+    pred, frames = forward_cached_alloc(state, x)
+    l_char, g_char = _charbonnier_alloc(pred, target)
+    l_edge, g_lap = _charbonnier_alloc(_laplacian_alloc(pred), _laplacian_alloc(target))
+    dpred = g_char + _laplacian_adjoint_alloc(g_lap)
+    l_consist = 0.0
+    if prev_out is not None:
+        l_consist = float(np.mean(np.abs(pred - prev_out)))
+        dpred = dpred + lam * (np.sign(pred - prev_out) / pred.size)
+    return l_char + l_edge, l_consist, backprop_alloc(state, frames, dpred)

@@ -206,9 +206,9 @@ def test_cached_teacher_output_matches_per_step_forward(monkeypatch):
     seen = []
     real_loss = pipeline.restorer.replay_loss_grads
 
-    def spy(state, x, target, prev_out, lam):
+    def spy(state, x, target, prev_out, lam, **kwargs):
         seen.append((x, prev_out))
-        return real_loss(state, x, target, prev_out, lam)
+        return real_loss(state, x, target, prev_out, lam, **kwargs)
 
     monkeypatch.setattr(pipeline.restorer, "replay_loss_grads", spy)
     ds = make_dataset(dataset_spec("a", 5, pairs=5, size=16))
@@ -311,6 +311,16 @@ def test_training_sets_build_only_the_training_pairs(monkeypatch):
             assert all(np.array_equal(a.data, b.data) for a, b in zip(got, ref))
         for got, ref in zip(train.layers, want.layers, strict=True):
             assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("run", [run_stream, baseline_sf, baseline_individual])
+@pytest.mark.parametrize("pairs", [(1,), (2, 1)])
+def test_stream_runs_reject_a_dataset_with_no_training_pair(run, pairs):
+    stream = make_stream([dataset_spec(f"d{k}", 70 + k, pairs=n, size=16)
+                          for k, n in enumerate(pairs, start=1)])
+    bad = f"d{len(pairs)}"
+    with pytest.raises(ConfigError, match=f"'{bad}': 1 pair leaves no training pair"):
+        run(stream, _tiny_cfg(iterations=2))
 
 
 def test_training_sets_reject_a_dataset_with_no_training_pair():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,10 @@ from rainreplay.restorer import (
 from rainreplay.synthdata import make_dataset
 
 from conftest import dataset_spec
-from oracles import backward, grad_check, kink_margin
+from oracles import (
+    backprop_alloc, backward, forward_cached_alloc, grad_check, kink_margin,
+    loss_grads_alloc,
+)
 
 
 # A fixture with a comfortable distance from every ReLU / L1 kink, so central
@@ -384,6 +389,101 @@ def test_restoration_and_replay_grads_agree():
     assert l_a == l_b and l_c == 0.0
     for n in g_a:
         assert np.array_equal(g_a[n], g_b[n])
+
+
+# ---------------------------------------------------------------------------
+# workspace
+# ---------------------------------------------------------------------------
+
+
+def _assert_grads_equal(got, want):
+    assert got.keys() == want.keys()
+    for n in want:
+        assert np.array_equal(got[n], want[n]), n
+
+
+# Batch 1, 2 and 4, 16 and 32 px, and a non-square frame.
+@pytest.mark.parametrize("shape", [(1, 3, 16, 16), (2, 3, 32, 32),
+                                   (4, 3, 32, 32), (4, 3, 16, 16),
+                                   (2, 3, 17, 23)])
+def test_workspace_steps_equal_allocating_steps(shape):
+    # One workspace serves a run of steps on different batches, as in a
+    # training stage: each loss, gradient and prediction must equal, bit for
+    # bit, the allocating step's. The teacher rows are C-contiguous, as
+    # train_stage passes them.
+    ws = restorer.Workspace(shape)
+    rng = np.random.default_rng(sum(shape))
+    for k in range(3):
+        state = RestorerState.random_init(40 + k, scale=0.3)
+        x, target = rng.uniform(0.0, 1.0, (2, *shape))
+        prev = np.ascontiguousarray(
+            forward(RestorerState.random_init(50 + k, scale=0.3), x))
+        assert np.array_equal(forward(state, x), forward_cached_alloc(state, x)[0])
+        loss, grads = restoration_loss_grads(state, x, target, ws=ws)
+        want_loss, _, want_grads = loss_grads_alloc(state, x, target)
+        assert loss == want_loss
+        _assert_grads_equal(grads, want_grads)
+        *losses, grads = replay_loss_grads(state, x, target, prev, 0.5 + k, ws=ws)
+        *want_losses, want_grads = loss_grads_alloc(state, x, target, prev, 0.5 + k)
+        assert losses == want_losses
+        _assert_grads_equal(grads, want_grads)
+        # backprop of any prediction gradient, with no loss step before it
+        dpred = rng.normal(0.0, 1.0, shape)
+        restorer._forward_cached(state, x, ws)
+        _assert_grads_equal(
+            restorer._backprop(state, ws, dpred),
+            backprop_alloc(state, forward_cached_alloc(state, x)[1], dpred))
+
+
+def test_workspace_step_allocates_only_parameter_sized_arrays():
+    # A step on a (4, 3, 32, 32) batch has about 1.7 MiB of batch-sized
+    # arrays; with a workspace it allocates only parameter-sized ones, and
+    # the iterator buffers numpy takes for strided operands.
+    rng = np.random.default_rng(3)
+    x, target, prev = rng.uniform(0.0, 1.0, (3, 4, 3, 32, 32))
+    state = RestorerState.random_init(4)
+    ws = restorer.Workspace(x.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        restoration_loss_grads(state, x, target, ws=ws)
+        replay_loss_grads(state, x, target, prev, 1.0, ws=ws)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 192 * 1024
+
+
+def test_forward_result_holds_only_the_prediction():
+    # The teacher forwards of a stage are all held until they are joined, so
+    # a returned prediction must not keep its workspace's frames alive.
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (4, 3, 32, 32))
+    state = RestorerState.random_init(6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        pred = forward(state, x)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert pred.nbytes <= held <= pred.nbytes + 4096
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 32, 32), (4, 3, 32, 31), (4, 3, 16, 16)])
+def test_workspace_rejects_a_batch_of_another_shape(shape):
+    ws = restorer.Workspace((4, 3, 32, 32))
+    x = np.random.default_rng(0).uniform(0.0, 1.0, shape)
+    state = RestorerState.random_init(1)
+    with pytest.raises(ShapeError, match="workspace holds batches of shape"):
+        restoration_loss_grads(state, x, x, ws=ws)
+    with pytest.raises(ShapeError, match="workspace holds batches of shape"):
+        replay_loss_grads(state, x, x, x, 1.0, ws=ws)
+
+
+def test_workspace_rejects_a_shape_that_is_not_a_batch():
+    for shape in [(3, 32, 32), (4, 1, 32, 32)]:
+        with pytest.raises(ShapeError, match=r"expected \(B, 3, H, W\) batch"):
+            restorer.Workspace(shape)
 
 
 # ---------------------------------------------------------------------------

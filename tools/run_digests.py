@@ -1,9 +1,10 @@
 """Print SHA-256 digests of the run and gen outputs for a fixed small stream.
 
 Runs ``rainreplay run`` on one fixed four-dataset spec for six method
-configurations and prints, per configuration, the digest of each of
+configurations, and on the same spec with one dataset at another image size
+for a seventh, and prints, per configuration, the digest of each of
 ``memory.csv``, ``generalization.csv``, ``cost.csv`` and ``manifest.txt``.
-Then runs ``rainreplay gen`` on the same spec and prints the digest of every
+Then runs ``rainreplay gen`` on the first spec and prints the digest of every
 file it writes (each dataset's ``spec.txt`` and PPM pairs), and the digest of
 what ``rainreplay similarity`` prints for it. A refactor that must not change
 results leaves every printed digest unchanged:
@@ -46,13 +47,19 @@ d.angle_mean=30
 d.density=30
 """
 
+# The same stream with dataset b at 24 px, so one stage's batches have
+# another shape than the rest. The reuse cache keeps replay pairs at the size
+# they were drawn at, so the mixed stream runs without it.
+MIXED_SPEC = SPEC + "b.image_size=24\n"
+
 CONFIGS = (
-    ("clgid", ["--method", "clgid"]),
-    ("clgid --no-reuse", ["--method", "clgid", "--no-reuse"]),
-    ("clgid --no-distill", ["--method", "clgid", "--no-distill"]),
-    ("clgid-fast", ["--method", "clgid-fast"]),
-    ("sf", ["--method", "sf"]),
-    ("individual", ["--method", "individual"]),
+    ("clgid", SPEC, ["--method", "clgid"]),
+    ("clgid --no-reuse", SPEC, ["--method", "clgid", "--no-reuse"]),
+    ("clgid --no-distill", SPEC, ["--method", "clgid", "--no-distill"]),
+    ("clgid-fast", SPEC, ["--method", "clgid-fast"]),
+    ("sf", SPEC, ["--method", "sf"]),
+    ("individual", SPEC, ["--method", "individual"]),
+    ("mixed --no-reuse", MIXED_SPEC, ["--method", "clgid", "--no-reuse"]),
 )
 RUN_FILES = ("memory.csv", "generalization.csv", "cost.csv", "manifest.txt")
 
@@ -70,10 +77,10 @@ def _main(args):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        spec = os.path.join(tmp, "stream.txt")
-        with open(spec, "w") as fh:
-            fh.write(SPEC)
-        for k, (label, extra) in enumerate(CONFIGS):
+        for k, (label, text, extra) in enumerate(CONFIGS):
+            spec = os.path.join(tmp, f"stream{k}.txt")
+            with open(spec, "w") as fh:
+                fh.write(text)
             out = os.path.join(tmp, f"run{k}")
             code, _ = _main(["run", "--config", spec, "--out", out,
                              "--iterations", "30", "--batch-size", "2", *extra])
@@ -81,6 +88,7 @@ def main():
                 raise SystemExit(f"{label}: exit code {code}")
             for name in RUN_FILES:
                 print(f"{label:<20} {name:<20} {_digest(os.path.join(out, name))}")
+        spec = os.path.join(tmp, "stream0.txt")
         data = os.path.join(tmp, "data")
         if _main(["gen", "--config", spec, "--out", data])[0] != cli.EXIT_OK:
             raise SystemExit("gen: nonzero exit code")
