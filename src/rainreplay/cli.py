@@ -271,12 +271,15 @@ def cmd_run(args):
     require_training_pairs(stream, origin)
     seed = args.seed if args.seed is not None else spec_seed
     cfg = build_stage_config(args, seed)
-    if args.method == "individual":
-        report = pipeline.baseline_individual(stream, cfg)
-    elif args.method == "sf":
-        report = pipeline.baseline_sf(stream, cfg)
-    else:
-        report = pipeline.run_stream(stream, cfg, method=args.method)
+    try:
+        if args.method == "individual":
+            report = pipeline.baseline_individual(stream, cfg)
+        elif args.method == "sf":
+            report = pipeline.baseline_sf(stream, cfg)
+        else:
+            report = pipeline.run_stream(stream, cfg, method=args.method)
+    except synthdata.ConfigError as exc:
+        raise CliError(f"{origin}: {exc}", EXIT_BAD_KEY) from None
     os.makedirs(args.out, exist_ok=True)
     pipeline.write_reports(report, cfg, args.out,
                            [spec.image_size for spec in stream])

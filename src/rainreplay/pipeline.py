@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import os
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -162,15 +164,16 @@ class _BatchSampler:
         self.rng = rng
         self.order = []
 
-    def next_batch(self):
-        """The next (x, y) batch and the indices of the pairs it holds."""
+    def next_batch(self, x, y):
+        """The next (x, y) batch, written into the buffers x and y, and the
+        indices of the pairs it holds."""
         picked = []
         while len(picked) < self.batch_size:
             if not self.order:
                 self.order = list(self.rng.permutation(len(self.pairs)))
             picked.append(self.order.pop(0))
-        x = restorer.images_to_batch([self.pairs[i][0] for i in picked])
-        y = restorer.images_to_batch([self.pairs[i][1] for i in picked])
+        restorer.images_to_batch([self.pairs[i][0] for i in picked], out=x)
+        restorer.images_to_batch([self.pairs[i][1] for i in picked], out=y)
         return x, y, picked
 
 
@@ -202,6 +205,11 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
     replay step indexes the ones of the batch it drew: the stored-logits
     replay of Buzzega et al. 2020 ("Dark Experience for General Continual
     Learning").
+
+    Every batch of the stage has one shape, so its steps share one
+    ``restorer.Workspace``, and the stage owns the buffers its batches and
+    teacher rows are written into: the new batch is dead once its loss step
+    returns, so the replay batch takes the same buffers.
     """
     sampler_new = _BatchSampler(
         new_pairs, cfg.batch_size,
@@ -214,18 +222,21 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
         if f_prev is not None and cfg.lam > 0:
             teacher_out = _teacher_outputs(f_prev, replay_pairs, cfg.batch_size)
 
-    # Every batch of the stage has one shape, so its steps share one workspace.
     rainy = new_pairs[0][0]
-    ws = restorer.Workspace((cfg.batch_size, 3, rainy.height, rainy.width))
+    shape = (cfg.batch_size, 3, rainy.height, rainy.width)
+    ws = restorer.Workspace(shape)
+    x_buf, y_buf = np.empty(shape), np.empty(shape)
+    prev_out = np.empty(shape) if teacher_out is not None else None
     log = []
     for it in range(iterations):
-        x_new, y_new, _ = sampler_new.next_batch()
+        x_new, y_new, _ = sampler_new.next_batch(x_buf, y_buf)
         l_new, grads = restorer.restoration_loss_grads(state, x_new, y_new, ws=ws)
 
         l_replay, l_consist = 0.0, 0.0
         if sampler_replay is not None:
-            x_rep, y_rep, picked = sampler_replay.next_batch()
-            prev_out = teacher_out[picked] if teacher_out is not None else None
+            x_rep, y_rep, picked = sampler_replay.next_batch(x_buf, y_buf)
+            if prev_out is not None:
+                np.take(teacher_out, picked, axis=0, out=prev_out)
             l_replay, l_consist, g_rep = restorer.replay_loss_grads(
                 state, x_rep, y_rep, prev_out, cfg.lam, ws=ws)
             restorer.add_grads(grads, g_rep)
@@ -301,11 +312,19 @@ def memory_chain(train_sets, cfg: StageConfig):
     generator to it unless the selective policy maps it onto the nearest
     existing one. The chain never reads the restorer, so it runs the same
     with or without training; steps are produced lazily, stage by stage.
+
+    One stage is alive at a time: the chain keeps no reference to stage n's
+    training set or replay set while it builds stage n+1's (only the reuse
+    cache carries pairs on, and only what the next stage reuses). A consumer
+    that drops each step before asking for the next one therefore holds a
+    single replay set.
     """
     generators = []  # distinct fitted generators
     mapped = []  # per prior dataset: index into generators
     cache = memgen.ReplayCache(stage=1, entries=[])
-    for n, train_ds in enumerate(train_sets, start=1):
+
+    def step(n, train_ds):
+        nonlocal cache
         replay, calls = None, 0
         if cfg.replay and n >= 2:
             seed = derive_seed(cfg.seed, "replay", n)
@@ -320,8 +339,7 @@ def memory_chain(train_sets, cfg: StageConfig):
 
         sim = similarity(train_ds.rainy_images, replay, n - 1)
         if not cfg.replay:
-            yield ChainStep(None, sim, 0, None, 0)
-            continue
+            return ChainStep(None, sim, 0, None, 0)
         delta = 1
         if cfg.selective:
             delta = memgen.select_generator_training(
@@ -334,7 +352,11 @@ def memory_chain(train_sets, cfg: StageConfig):
             nearest_slot = int(np.argmin(
                 [s if s is not None else np.inf for s in sim.per_generator]))
             mapped.append(mapped[nearest_slot])
-        yield ChainStep(replay, sim, delta, mapped[-1], calls)
+        return ChainStep(replay, sim, delta, mapped[-1], calls)
+
+    # map holds neither its last training set nor its last step while it
+    # draws the next training set, as a for loop's target would.
+    return map(step, itertools.count(1), train_sets)
 
 
 def stream_splits(stream: DatasetStream):
@@ -353,6 +375,21 @@ def training_sets(stream: DatasetStream):
         yield make_dataset(replace(spec, pair_count=_checked_train_count(spec)))
 
 
+def _check_reuse_sizes(stream: DatasetStream, cfg: StageConfig):
+    """ConfigError if replay runs through the reuse cache over datasets of
+    different image sizes: the cache keeps replay pairs at the size they were
+    drawn at, so a later stage would batch pairs of two sizes."""
+    if not (cfg.replay and cfg.reuse):
+        return
+    first = stream[0]
+    for spec in stream:
+        if spec.image_size != first.image_size:
+            raise ConfigError(
+                f"replay with reuse needs one image size: dataset {first.id!r} "
+                f"is {first.image_size} px but dataset {spec.id!r} is "
+                f"{spec.image_size} px; run mixed sizes with --no-reuse")
+
+
 def _setup(stream: DatasetStream, cfg: StageConfig, holdout):
     splits = stream_splits(stream)
     if holdout is None:
@@ -364,12 +401,18 @@ def _setup(stream: DatasetStream, cfg: StageConfig, holdout):
 
 def run_stream(stream: DatasetStream, cfg: StageConfig, method="clgid",
                holdout: RainDataset | None = None) -> StreamReport:
+    """Train on the stream stage by stage, following the memory chain.
+    ConfigError before any dataset is built if a dataset would have no
+    training pair, or if the reuse cache would replay pairs of two image
+    sizes."""
+    _check_reuse_sizes(stream, cfg)
     splits, holdout = _setup(stream, cfg, holdout)
     report = StreamReport(method=method, dataset_ids=[s.id for s in stream])
     state = restorer.RestorerState.random_init(derive_seed(cfg.seed, "init", 1))
     f_prev = None
     chain = memory_chain([train for train, _ in splits], cfg)
-    for n, ((train_ds, _), step) in enumerate(zip(splits, chain), start=1):
+    for n, (train_ds, _) in enumerate(splits, start=1):
+        step = next(chain)
         iterations = (scaled_iterations(step.similarity.s_hat, cfg.iterations,
                                         cfg.floor)
                       if cfg.speedup else cfg.iterations)
@@ -383,6 +426,7 @@ def run_stream(stream: DatasetStream, cfg: StageConfig, method="clgid",
             report.memory[(n, d)] = evaluate(state, splits[d - 1][1])
         report.generalization.append(evaluate(state, holdout.pairs))
         report.record(iterations, step, log)
+        del step  # so that the next stage's replay set is built without it
     return report
 
 
@@ -419,7 +463,9 @@ def selective_chain(stream: DatasetStream, threshold: float, seed: int):
     thresholds without touching the restorer.
     """
     cfg = StageConfig(selective=True, reuse=False, threshold=threshold, seed=seed)
-    return [step.delta for step in memory_chain(training_sets(stream), cfg)]
+    # map, unlike a comprehension's loop variable, keeps no step alive while
+    # the chain builds the next one
+    return list(map(attrgetter("delta"), memory_chain(training_sets(stream), cfg)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,15 @@ folded back onto the edge pixels.
 
 Every batch-sized array of a step lives in a ``Workspace`` built for one
 batch shape: the frames, the head's output frame (later its gradient), the
-prediction, the per-tap GEMM products and the loss temporaries, with arrays
-whose lifetimes do not overlap sharing memory (Chen et al. 2016, "Training
-Deep Nets with Sublinear Memory Cost"). A training stage keeps one, so a step
-allocates only parameter-sized arrays, and an evaluation keeps one for its
-one-image forwards; ``forward`` and the loss functions called without one
-build a throwaway workspace, ``forward``'s without the loss and backward
-buffers.
+prediction (later its gradient), the per-tap GEMM products and three loss
+temporaries, with arrays whose lifetimes do not overlap sharing memory (Chen
+et al. 2016, "Training Deep Nets with Sublinear Memory Cost"). The loss step
+takes the edge and consistency terms first, then writes the Charbonnier
+gradient over the prediction, which nothing reads after it, and sums the
+other two into it. A training stage keeps one workspace, so a step allocates
+only parameter-sized arrays, and an evaluation keeps one for its one-image
+forwards; ``forward`` and the loss functions called without one build a
+throwaway workspace, ``forward``'s without the loss and backward buffers.
 
 All forward and backward math is straight numpy, so runs are bit-reproducible
 on one numpy/BLAS build; other builds may sum in another order and differ in
@@ -145,9 +147,10 @@ class Workspace:
 
     - ``frames[i]`` is conv i's padded channel-major input frame,
       (C, B, H+2, W+2). Conv i writes its output into ``frames[i + 1]``, and
-      the head into ``top``; ``pred`` is x minus top's interior.
+      the head into ``top``; ``pred`` is x minus top's interior, and the
+      loss step writes the prediction's gradient over it.
     - ``scratch`` holds what one kernel needs at a time: the first layer's
-      stacked taps of one image, a conv's per-tap GEMM product, or the four
+      stacked taps of one image, a conv's per-tap GEMM product, or the three
       (B, 3, H, W) loss temporaries, which live between the forward and the
       backward pass.
     - Between those passes ``top`` is free, and the edge loss uses it as
@@ -169,7 +172,7 @@ class Workspace:
                       for ci, o in _CHANNELS)
         mask = 0
         if training:
-            scratch = max(scratch, _HIDDEN * n, 4 * batch)
+            scratch = max(scratch, _HIDDEN * n, 3 * batch)
             mask = -(-_HIDDEN * pixels // 8)
         # One allocation, so that the allocator reuses it whole from one
         # workspace to the next instead of trimming and faulting in its
@@ -186,9 +189,9 @@ class Workspace:
         self.pred = np.empty((c, bsz, h, w))
         self.scratch = parts[-2]
         if training:
-            self.dpred, self.tmp, self.lap, self.lap_target = (
+            self.tmp, self.lap, self.lap_target = (
                 self.scratch[k * batch : (k + 1) * batch].reshape(shape)
-                for k in range(4))
+                for k in range(3))
             self.padded = self.top.reshape(bsz, c, hp, wp)
             self.mask = parts[-1].view(bool)
 
@@ -431,18 +434,23 @@ def _consistency_grad(out_a, out_b):
 def _loss_grads(state, x, target, prev_out, lam, ws):
     """Charbonnier + edge loss, the consistency loss against prev_out if
     given, and the parameter gradients of the lam-weighted total; every
-    batch-sized array lives in ws, or in a fresh workspace if it is None."""
+    batch-sized array lives in ws, or in a fresh workspace if it is None.
+
+    The edge gradient lands in ``ws.padded`` and the consistency gradient in
+    ``ws.lap``; the Charbonnier term comes last and writes its gradient over
+    the prediction, into which the other two are then summed."""
     pred, ws = _forward_cached(state, x, ws)
     _check_shapes(pred, target)
-    l_char, dpred = _charbonnier_terms(pred, target, ws.dpred, ws.tmp)
     l_edge, g_edge = _edge_terms(pred, target, ws.lap, ws.lap_target,
                                  ws.padded, ws.tmp)
-    dpred += g_edge
     l_consist = 0.0
     if prev_out is not None:
         _check_shapes(pred, prev_out)
-        l_consist, g_consist = _consistency_terms(pred, prev_out, ws.tmp, ws.lap)
+        l_consist, g_consist = _consistency_terms(pred, prev_out, ws.lap, ws.tmp)
         g_consist *= lam
+    l_char, dpred = _charbonnier_terms(pred, target, pred, ws.tmp)
+    dpred += g_edge
+    if prev_out is not None:
         dpred += g_consist
     return l_char + l_edge, l_consist, _backprop(state, ws, dpred)
 
@@ -477,15 +485,16 @@ def sgd_step(state: RestorerState, grads, lr=1e-2) -> RestorerState:
 # ---------------------------------------------------------------------------
 
 
-def images_to_batch(images) -> np.ndarray:
-    """Stack Images into a channels-first (B, 3, H, W) batch."""
+def images_to_batch(images, out=None) -> np.ndarray:
+    """Stack Images into a channels-first (B, 3, H, W) batch, written into
+    ``out`` if given."""
     arrs = []
     for img in images:
         data = img.data
         if data.shape[2] == 1:
             data = np.repeat(data, 3, axis=2)
         arrs.append(np.transpose(data, (2, 0, 1)))
-    return np.stack(arrs)
+    return np.stack(arrs, out=out)
 
 
 def restore_image(state, img: Image, *, ws=None) -> Image:

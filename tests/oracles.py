@@ -229,3 +229,24 @@ def loss_grads_alloc(state, x, target, prev_out=None, lam=0.0):
         l_consist = float(np.mean(np.abs(pred - prev_out)))
         dpred = dpred + lam * (np.sign(pred - prev_out) / pred.size)
     return l_char + l_edge, l_consist, backprop_alloc(state, frames, dpred)
+
+
+class FreshBatchSampler:
+    """The draws of ``pipeline._BatchSampler``, each batch stacked into
+    fresh arrays instead of the stage's buffers."""
+
+    def __init__(self, pairs, batch_size, rng):
+        self.pairs = pairs
+        self.batch_size = batch_size
+        self.rng = rng
+        self.order = []
+
+    def next_batch(self, x, y):
+        picked = []
+        while len(picked) < self.batch_size:
+            if not self.order:
+                self.order = list(self.rng.permutation(len(self.pairs)))
+            picked.append(self.order.pop(0))
+        x, y = (np.stack([self.pairs[i][k].data.transpose(2, 0, 1) for i in picked])
+                for k in range(2))
+        return x, y, picked

@@ -135,6 +135,30 @@ def test_similarity_with_single_pair_dataset_exits_2(tmp_path, capsys):
     assert path in err and "dataset 'a'" in err and "pair_count" in err
 
 
+def _mixed_size_spec(tmp_path):
+    # c would reuse replay pairs drawn at b's size
+    path = tmp_path / "mixed.txt"
+    path.write_text(SPEC.replace("datasets=a,b", "datasets=a,b,c")
+                    + "b.image_size=24\nc.angle_mean=80\nc.density=20\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["clgid", "clgid-fast"])
+def test_run_mixed_sizes_under_reuse_exits_2(tmp_path, capsys, method):
+    path, out = _mixed_size_spec(tmp_path), tmp_path / "o"
+    assert _run(path, str(out), "--method", method) == EXIT_BAD_KEY
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert "'a' is 16 px" in err and "'b' is 24 px" in err and "--no-reuse" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [("--method", "clgid", "--no-reuse"),
+                                   ("--method", "sf"), ("--method", "individual")])
+def test_run_mixed_sizes_without_reuse_exits_0(tmp_path, extra):
+    assert _run(_mixed_size_spec(tmp_path), str(tmp_path / "o"), *extra) == EXIT_OK
+
+
 def test_gen_accepts_single_pair_dataset(tmp_path):
     assert main(["gen", "--config", _single_pair_spec(tmp_path),
                  "--out", str(tmp_path / "o")]) == EXIT_OK

@@ -1,10 +1,12 @@
 import csv
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rainreplay import memgen, pipeline, synthdata
+from rainreplay import memgen, pipeline, restorer, synthdata
 from rainreplay.pipeline import (
     SimilarityReport, StageConfig, baseline_individual, baseline_sf,
     derive_seed, run_stream, scaled_iterations, selective_chain, similarity,
@@ -13,6 +15,7 @@ from rainreplay.pipeline import (
 from rainreplay.synthdata import ConfigError, make_dataset, make_stream
 
 from conftest import dataset_spec
+from oracles import FreshBatchSampler
 from test_acceptance import _reference_stream
 
 
@@ -207,7 +210,8 @@ def test_cached_teacher_output_matches_per_step_forward(monkeypatch):
     real_loss = pipeline.restorer.replay_loss_grads
 
     def spy(state, x, target, prev_out, lam, **kwargs):
-        seen.append((x, prev_out))
+        # copies: the stage writes every batch into the same buffers
+        seen.append((x.copy(), prev_out.copy()))
         return real_loss(state, x, target, prev_out, lam, **kwargs)
 
     monkeypatch.setattr(pipeline.restorer, "replay_loss_grads", spy)
@@ -221,6 +225,66 @@ def test_cached_teacher_output_matches_per_step_forward(monkeypatch):
         want = pipeline.restorer.forward(teacher, x_rep)
         assert prev_out.shape == want.shape
         assert np.allclose(prev_out, want, rtol=0.0, atol=1e-12)
+
+
+def _spy_loss_steps(monkeypatch):
+    """Record the (x, target, prev_out) arrays of every loss step."""
+    seen = []
+    real_new = restorer.restoration_loss_grads
+    real_replay = restorer.replay_loss_grads
+
+    def spy_new(state, x, target, **kwargs):
+        seen.append((x, target, None))
+        return real_new(state, x, target, **kwargs)
+
+    def spy_replay(state, x, target, prev_out, lam, **kwargs):
+        seen.append((x, target, prev_out))
+        return real_replay(state, x, target, prev_out, lam, **kwargs)
+
+    monkeypatch.setattr(restorer, "restoration_loss_grads", spy_new)
+    monkeypatch.setattr(restorer, "replay_loss_grads", spy_replay)
+    return seen
+
+
+def test_stage_batches_reuse_stage_owned_buffers(monkeypatch):
+    seen = _spy_loss_steps(monkeypatch)
+    ds = make_dataset(dataset_spec("a", 5, pairs=5, size=16))
+    replay = make_dataset(dataset_spec("b", 6, angle=30.0, pairs=3, size=16))
+    teacher = restorer.RestorerState.random_init(2)
+    state = restorer.RestorerState.random_init(1)
+    pipeline.train_stage(state, teacher, ds.pairs, replay.pairs,
+                         _tiny_cfg(lam=1.0), 6, 2)
+    assert len(seen) == 12
+    # the new and the replay batches of every step share one x buffer and
+    # one target buffer, and the teacher rows have a third buffer
+    x0, y0, _ = seen[0]
+    prev0 = seen[1][2]
+    for x, y, prev_out in seen:
+        assert np.shares_memory(x, x0) and np.shares_memory(y, y0)
+        assert not np.shares_memory(x, y)
+        if prev_out is not None:
+            assert np.shares_memory(prev_out, prev0)
+            assert not np.shares_memory(prev_out, x)
+            assert not np.shares_memory(prev_out, y)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_stage_loss_log_equals_fresh_batch_oracle(monkeypatch, lam):
+    ds = make_dataset(dataset_spec("a", 5, pairs=5, size=16))
+    replay = make_dataset(dataset_spec("b", 6, angle=30.0, pairs=3, size=16))
+    teacher = restorer.RestorerState.random_init(2)
+    cfg = _tiny_cfg(lam=lam)
+
+    def stage():
+        return pipeline.train_stage(restorer.RestorerState.random_init(1),
+                                    teacher, ds.pairs, replay.pairs, cfg, 9, 2)
+
+    state, log = stage()
+    monkeypatch.setattr(pipeline, "_BatchSampler", FreshBatchSampler)
+    want_state, want_log = stage()
+    assert log == want_log
+    for n in want_state.params:
+        assert np.array_equal(state.params[n], want_state.params[n])
 
 
 def test_lambda_zero_drops_consistency_from_total():
@@ -323,6 +387,30 @@ def test_stream_runs_reject_a_dataset_with_no_training_pair(run, pairs):
         run(stream, _tiny_cfg(iterations=2))
 
 
+def _mixed_size_stream():
+    # d3 would reuse replay pairs drawn at d2's size
+    return make_stream([dataset_spec(f"d{k}", 70 + k, angle=40.0 * k, pairs=5,
+                                     size=size)
+                        for k, size in enumerate((16, 24, 16), start=1)])
+
+
+def test_run_stream_rejects_mixed_sizes_under_reuse(monkeypatch):
+    made = []
+    make_pair = synthdata.make_pair
+    monkeypatch.setattr(synthdata, "make_pair",
+                        lambda spec, m: made.append(spec.id) or make_pair(spec, m))
+    with pytest.raises(ConfigError, match=r"dataset 'd1' is 16 px but dataset "
+                                          r"'d2' is 24 px.*--no-reuse"):
+        run_stream(_mixed_size_stream(), _tiny_cfg(iterations=2, reuse=True))
+    assert made == []  # rejected before any dataset is built
+
+
+@pytest.mark.parametrize("off", [dict(reuse=False), dict(replay=False)])
+def test_mixed_sizes_run_without_the_reuse_cache(off):
+    cfg = replace(_tiny_cfg(iterations=2, reuse=True), **off)
+    assert run_stream(_mixed_size_stream(), cfg).n_stages == 3
+
+
 def test_training_sets_reject_a_dataset_with_no_training_pair():
     stream = make_stream([dataset_spec("d1", 70, pairs=2, size=16),
                           dataset_spec("d2", 71, pairs=1, size=16)])
@@ -330,6 +418,50 @@ def test_training_sets_reject_a_dataset_with_no_training_pair():
     assert len(next(built)) == 1
     with pytest.raises(ConfigError, match="'d2': 1 pair leaves no training pair"):
         next(built)
+
+
+# ---------------------------------------------------------------------------
+# data lifetimes: one stage of the memory chain alive at a time
+# ---------------------------------------------------------------------------
+
+
+def _watch_builds(monkeypatch, module, name, built, dead):
+    """Wrap ``module.name`` so that each call first asserts that every
+    object ``dead()`` lists has been freed, then keeps only a weakref to
+    what the call returns, in ``built``."""
+    real = getattr(module, name)
+
+    def build(*args):
+        assert [ref for ref in dead() if ref() is not None] == []
+        out = real(*args)
+        built.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(module, name, build)
+
+
+def test_selective_chain_holds_one_stage_at_a_time(monkeypatch):
+    trains, replays = [], []
+    # a training set is built before the replay set drawn onto it
+    _watch_builds(monkeypatch, pipeline, "make_dataset", trains,
+                  lambda: trains + replays)
+    _watch_builds(monkeypatch, memgen, "build_replay_dataset", replays,
+                  lambda: trains[:-1] + replays)
+    stream = _stream([30.0, 120.0, 75.0, 30.0], pairs=6, size=32, seed0=60)
+    assert len(selective_chain(stream, threshold=0.4, seed=1)) == 4
+    assert (len(trains), len(replays)) == (4, 3)
+
+
+def test_run_stream_holds_one_replay_set_at_a_time(monkeypatch):
+    # run_stream still builds every split up front and keeps them to the end,
+    # so only its replay sets are one at a time
+    replays = []
+    _watch_builds(monkeypatch, memgen, "build_replay_dataset", replays,
+                  lambda: replays)
+    stream = _stream([30.0, 120.0, 75.0, 30.0], pairs=5)
+    report = run_stream(stream, _tiny_cfg(iterations=2, reuse=False))
+    assert len(replays) == 3
+    assert report.replay_active == [False, True, True, True]
 
 
 # ---------------------------------------------------------------------------
