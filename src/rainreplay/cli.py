@@ -296,7 +296,8 @@ def cmd_similarity(args):
     run_defaults = build_parser().parse_args(["run", "--out", os.devnull])
     cfg = build_stage_config(run_defaults, seed)
     chain = pipeline.memory_chain(pipeline.training_sets(stream), cfg)
-    for n, (spec, step) in enumerate(zip(stream, chain), start=1):
+    for n, spec in enumerate(stream, start=1):
+        step = next(chain)
         sim = step.similarity
         if sim.s_min is None:
             scores = "bootstrap, S_hat=1"
@@ -307,6 +308,7 @@ def cmd_similarity(args):
             scores = f"{per}; S=%.4f S_hat=%.4f" % (sim.s_min, sim.s_hat)
         print(f"stage {n} ({spec.id}): {scores}; delta={step.delta} "
               f"generator=g{step.generator + 1} fresh={step.sampler_calls}")
+        del step  # so that the next stage's replay set is built without it
     return EXIT_OK
 
 

@@ -29,9 +29,10 @@ LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 LAPLACIAN_KERNEL = np.array(
     [[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]]
 )
-# (k, l, coefficient) of each nonzero tap, in row-major order
-_LAPLACIAN_TAPS = [(k, l, c) for (k, l), c in np.ndenumerate(LAPLACIAN_KERNEL)
-                   if c != 0.0]
+# (k, l, coefficient) of each nonzero tap, in row-major order; Python floats,
+# which take the dtype of the array they multiply (a float32 batch stays float32)
+_LAPLACIAN_TAPS = [(k, l, float(c))
+                   for (k, l), c in np.ndenumerate(LAPLACIAN_KERNEL) if c != 0.0]
 
 
 class ShapeError(ValueError):

@@ -29,6 +29,10 @@ from .synthdata import (
 
 TEST_FRACTION = 0.2
 
+# The restorer trains in float32, which halves the bytes its small GEMMs move;
+# images, metrics, HOG, the generators and the gradient checks stay float64.
+TRAIN_DTYPE = np.float32
+
 # Per-pixel FLOPs estimate for one forward pass of the restorer: each conv
 # weight (the 4-d entries of LAYER_SHAPES) is one multiply-accumulate, 2 FLOPs,
 # per output pixel; backward costs roughly twice the forward.
@@ -209,7 +213,8 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
     Every batch of the stage has one shape, so its steps share one
     ``restorer.Workspace``, and the stage owns the buffers its batches and
     teacher rows are written into: the new batch is dead once its loss step
-    returns, so the replay batch takes the same buffers.
+    returns, so the replay batch takes the same buffers. All of them have
+    the state's dtype.
     """
     sampler_new = _BatchSampler(
         new_pairs, cfg.batch_size,
@@ -224,9 +229,10 @@ def train_stage(state, f_prev, new_pairs, replay_pairs, cfg: StageConfig,
 
     rainy = new_pairs[0][0]
     shape = (cfg.batch_size, 3, rainy.height, rainy.width)
-    ws = restorer.Workspace(shape)
-    x_buf, y_buf = np.empty(shape), np.empty(shape)
-    prev_out = np.empty(shape) if teacher_out is not None else None
+    dtype = state.dtype
+    ws = restorer.Workspace(shape, dtype=dtype)
+    x_buf, y_buf = np.empty(shape, dtype), np.empty(shape, dtype)
+    prev_out = np.empty(shape, dtype) if teacher_out is not None else None
     log = []
     for it in range(iterations):
         x_new, y_new, _ = sampler_new.next_batch(x_buf, y_buf)
@@ -281,12 +287,12 @@ def split_train_test(ds: RainDataset):
 def evaluate(state, pairs):
     """Mean PSNR/SSIM of clipped restorations over (rainy, clean) pairs.
     The pairs of one dataset share an image size, so their one-image
-    forwards share one workspace."""
+    forwards share one workspace, of the state's dtype."""
     ps, ss, ws = [], [], None
     for rainy, clean in pairs:
         if ws is None:
             ws = restorer.Workspace((1, 3, rainy.height, rainy.width),
-                                    training=False)
+                                    training=False, dtype=state.dtype)
         restored = restorer.restore_image(state, rainy, ws=ws)
         ps.append(psnr(restored, clean))
         ss.append(ssim(restored, clean))
@@ -408,7 +414,8 @@ def run_stream(stream: DatasetStream, cfg: StageConfig, method="clgid",
     _check_reuse_sizes(stream, cfg)
     splits, holdout = _setup(stream, cfg, holdout)
     report = StreamReport(method=method, dataset_ids=[s.id for s in stream])
-    state = restorer.RestorerState.random_init(derive_seed(cfg.seed, "init", 1))
+    state = restorer.RestorerState.random_init(derive_seed(cfg.seed, "init", 1),
+                                               dtype=TRAIN_DTYPE)
     f_prev = None
     chain = memory_chain([train for train, _ in splits], cfg)
     for n, (train_ds, _) in enumerate(splits, start=1):
@@ -445,7 +452,8 @@ def baseline_individual(stream: DatasetStream, cfg: StageConfig,
     report = StreamReport(method="individual", dataset_ids=[s.id for s in stream])
     no_replay = ChainStep(None, SimilarityReport.bootstrap(), 0, None, 0)
     for n, (train_ds, test_pairs) in enumerate(splits, start=1):
-        state = restorer.RestorerState.random_init(derive_seed(cfg.seed, "init", n))
+        state = restorer.RestorerState.random_init(derive_seed(cfg.seed, "init", n),
+                                                   dtype=TRAIN_DTYPE)
         state, log = train_stage(state, None, train_ds.pairs, None, cfg,
                                  cfg.iterations, n)
         report.memory[(n, n)] = evaluate(state, test_pairs)

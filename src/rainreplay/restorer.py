@@ -8,15 +8,22 @@ weights give the identity. Training uses the fixed ``CHARBONNIER_EPS`` and
 ``MOMENTUM``; a state flattens to one vector in ``LAYER_SHAPES`` order, the
 layout of ``flat_params`` and of the state file.
 
-Batches are channels-first float64 arrays of shape (B, 3, H, W). Inside the
-network, each activation is a channel-major replicate-padded frame,
-(C, B, H+2, W+2), flattened to (C, B*(H+2)*(W+2)) for the GEMMs, so each tap
-(k, l) of a 3x3 conv reads one contiguous slice at offset k*(W+2) + l. A conv
-is nine shifted GEMMs accumulated into its output frame, with no 9C-row
-im2col matrix: the "kn2row" form of Anderson, Vasudevan & Gregg 2017
-("Low-memory GEMM-based convolution algorithms for deep neural networks").
-Only the 3-channel first layer stacks its nine tap slices, one image at a
-time, into a 27-row block for one GEMM per image, which measured faster.
+Batches are channels-first arrays of shape (B, 3, H, W). A pass computes in
+the state's dtype (``RestorerState.dtype``), casting the batch into its first
+frame. Training states are float32 (``pipeline.TRAIN_DTYPE``): the small
+per-tap GEMMs below are bound by the bytes they move. The state file and the
+finite-difference checks stay float64, since a difference quotient of float32
+losses would measure rounding.
+
+Inside the network, each activation is a channel-major replicate-padded
+frame, (C, B, H+2, W+2), flattened to (C, B*(H+2)*(W+2)) for the GEMMs, so
+each tap (k, l) of a 3x3 conv reads one contiguous slice at offset
+k*(W+2) + l. A conv is nine shifted GEMMs accumulated into its output frame,
+with no 9C-row im2col matrix: the "kn2row" form of Anderson, Vasudevan &
+Gregg 2017 ("Low-memory GEMM-based convolution algorithms for deep neural
+networks"). Only the 3-channel first layer stacks its nine tap slices, one
+image at a time, into a 27-row block for one GEMM per image, which measured
+faster.
 The backward pass reads each conv's cached input frame twice, for dW (one
 GEMM per tap) and for the ReLU mask, then writes the conv's input gradient
 over it: per tap one GEMM accumulated into the slice it read, and the border
@@ -99,12 +106,20 @@ class RestorerState:
         )
 
     @classmethod
-    def random_init(cls, seed: int, scale: float = 0.05):
+    def random_init(cls, seed: int, scale: float = 0.05, dtype=np.float64):
+        """Normal(0, scale) weights and zero momenta, drawn in float64 and
+        cast to dtype, so every dtype rounds the same draws."""
         rng = np.random.default_rng(seed)
         return cls(
-            params={n: rng.normal(0.0, scale, s) for n, s in LAYER_SHAPES},
-            momentum={n: np.zeros(s) for n, s in LAYER_SHAPES},
+            params={n: rng.normal(0.0, scale, s).astype(dtype, copy=False)
+                    for n, s in LAYER_SHAPES},
+            momentum={n: np.zeros(s, dtype) for n, s in LAYER_SHAPES},
         )
+
+    @property
+    def dtype(self):
+        """The dtype of the parameters, which every pass on them computes in."""
+        return self.params[_NAMES[0]].dtype
 
     def copy(self):
         return RestorerState(
@@ -156,9 +171,12 @@ class Workspace:
     - Between those passes ``top`` is free, and the edge loss uses it as
       ``padded``, a (B, 3, H+2, W+2) frame.
     - ``mask`` holds one ReLU mask of the backward pass.
+
+    Every array but the mask has ``dtype``, which must be the state's: a
+    float32 workspace halves the bytes each per-tap GEMM moves.
     """
 
-    def __init__(self, shape, training=True):
+    def __init__(self, shape, training=True, dtype=np.float64):
         shape = tuple(shape)
         if len(shape) != 4 or shape[1] != 3:
             raise ShapeError(f"expected (B, 3, H, W) batch, got {shape}")
@@ -170,23 +188,26 @@ class Workspace:
         batch = bsz * c * h * w
         scratch = max(9 * ci * m if ci <= _STACKED_MAX_CHANNELS else o * n
                       for ci, o in _CHANNELS)
+        dtype = np.dtype(dtype)
         mask = 0
         if training:
             scratch = max(scratch, _HIDDEN * n, 3 * batch)
-            mask = -(-_HIDDEN * pixels // 8)
+            # elements that hold _HIDDEN * pixels one-byte bools
+            mask = -(-_HIDDEN * pixels // dtype.itemsize)
         # One allocation, so that the allocator reuses it whole from one
         # workspace to the next instead of trimming and faulting in its
         # parts. The prediction is apart: the view that ``forward`` returns
         # keeps only it alive.
         sizes = [ci * pixels for ci in _FRAME_CHANNELS] + [scratch, mask]
-        buf, parts = np.empty(sum(sizes)), []
+        buf, parts = np.empty(sum(sizes), dtype), []
         for k in sizes:
             parts.append(buf[:k])
             buf = buf[k:]
         *self.frames, self.top = (a.reshape(ci, bsz, hp, wp)
                                   for a, ci in zip(parts, _FRAME_CHANNELS))
         self.shape = shape
-        self.pred = np.empty((c, bsz, h, w))
+        self.dtype = dtype
+        self.pred = np.empty((c, bsz, h, w), dtype)
         self.scratch = parts[-2]
         if training:
             self.tmp, self.lap, self.lap_target = (
@@ -196,11 +217,11 @@ class Workspace:
             self.mask = parts[-1].view(bool)
 
 
-def _view(buf, shape):
+def _view(buf, shape, dtype):
     """The first entries of flat buffer buf as an array of the given shape,
-    or a fresh array if buf is None."""
+    or a fresh array of the given dtype if buf is None."""
     if buf is None:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     return buf[: math.prod(shape)].reshape(shape)
 
 
@@ -234,12 +255,12 @@ def _conv3x3(xp, w, b, out=None, scratch=None):
     o = w.shape[0]
     xf, s, n, taps = _flat_taps(xp)
     if out is None:
-        out = np.empty((o, bsz, hp, wp))
+        out = np.empty((o, bsz, hp, wp), w.dtype)
     of = out.reshape(o, -1)
     of.fill(0.0)
     if c <= _STACKED_MAX_CHANNELS:
         m = hp * wp - 2 * s
-        cols = _view(scratch, (9 * c, m))
+        cols = _view(scratch, (9 * c, m), w.dtype)
         # stacked[c, k, l, q] = xf[c, k*(W+2) + l + q], the nine tap slices:
         # a strided view of xf's memory, only read
         step = xf.strides[1]
@@ -251,7 +272,7 @@ def _conv3x3(xp, w, b, out=None, scratch=None):
             np.copyto(cols.reshape(c, 3, 3, m), stacked[..., i : i + m])
             np.matmul(w.reshape(o, 9 * c), cols, out=of[:, s + i : s + i + m])
     else:
-        prod = _view(scratch, (o, n))
+        prod = _view(scratch, (o, n), w.dtype)
         for k, l, off in taps:
             np.matmul(w[:, :, k, l], xf[:, off : off + n], out=prod)
             of[:, s : s + n] += prod
@@ -273,17 +294,17 @@ def _conv3x3_backward(xp, w, dout, need_dx=True, dx=None, scratch=None):
     o = w.shape[0]
     xf, s, n, taps = _flat_taps(xp)
     d = dout.reshape(o, -1)[:, s : s + n]
-    dw = np.empty(w.shape)
+    dw = np.empty(w.shape, w.dtype)
     for k, l, off in taps:
         dw[:, :, k, l] = d @ xf[:, off : off + n].T
     db = d.sum(axis=1)
     if not need_dx:
         return dw, db, None
     if dx is None:
-        dx = np.empty(xp.shape)
+        dx = np.empty(xp.shape, w.dtype)
     dxf = dx.reshape(xf.shape)
     dxf.fill(0.0)
-    prod = _view(scratch, (xf.shape[0], n))
+    prod = _view(scratch, (xf.shape[0], n), w.dtype)
     for k, l, off in taps:
         np.matmul(w[:, :, k, l].T, d, out=prod)
         dxf[:, off : off + n] += prod
@@ -306,12 +327,16 @@ def _relu_padded(frame):
 def _forward_cached(state, x, ws=None):
     """Prediction for a (B, 3, H, W) batch, as a (B, 3, H, W) view of
     ``ws.pred``, and the workspace ``ws``, whose frames ``_backprop`` reads.
-    Without ws, a training workspace is built for x."""
+    Without ws, a training workspace of the state's dtype is built for x.
+    x may have another dtype; it is cast into the first frame."""
     if ws is None:
-        ws = Workspace(x.shape)
+        ws = Workspace(x.shape, dtype=state.dtype)
     if x.shape != ws.shape:
         raise ShapeError(f"workspace holds batches of shape {ws.shape}, "
                          f"got {x.shape}")
+    if ws.dtype != state.dtype:  # mixed GEMMs run silently at float64 speed
+        raise TypeError(f"workspace holds {ws.dtype} arrays, the state "
+                        f"{state.dtype} parameters")
     p = state.params
     frames = ws.frames
     pad_replicate(x.transpose(1, 0, 2, 3), out=frames[0])
@@ -328,7 +353,7 @@ def forward(state: RestorerState, x: np.ndarray, *, ws=None) -> np.ndarray:
     ``ws`` is an optional ``Workspace`` for x's shape; the result is then a
     view into it, which its next pass overwrites."""
     if ws is None:
-        ws = Workspace(x.shape, training=False)
+        ws = Workspace(x.shape, training=False, dtype=state.dtype)
     pred, _ = _forward_cached(state, x, ws)
     return pred
 
@@ -351,7 +376,7 @@ def _backprop(state, ws, dpred):
         w, b = _CONVS[i]
         xp = ws.frames[i]
         if i > 0:
-            mask = np.greater(xp, 0.0, out=_view(ws.mask, xp.shape))
+            mask = np.greater(xp, 0.0, out=_view(ws.mask, xp.shape, bool))
         grads[w], grads[b], d = _conv3x3_backward(xp, p[w], d, need_dx=i > 0,
                                                   dx=xp, scratch=ws.scratch)
         if i > 0:

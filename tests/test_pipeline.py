@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 import weakref
 from dataclasses import replace
@@ -6,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rainreplay import memgen, pipeline, restorer, synthdata
+from rainreplay import cli, memgen, pipeline, restorer, synthdata
 from rainreplay.pipeline import (
     SimilarityReport, StageConfig, baseline_individual, baseline_sf,
     derive_seed, run_stream, scaled_iterations, selective_chain, similarity,
@@ -287,6 +288,91 @@ def test_stage_loss_log_equals_fresh_batch_oracle(monkeypatch, lam):
         assert np.array_equal(state.params[n], want_state.params[n])
 
 
+def test_float32_stage_keeps_every_array_float32(monkeypatch):
+    f32 = np.dtype(np.float32)
+    seen = []
+
+    def dtypes(*arrays):
+        return {a.dtype for a in arrays if a is not None}
+
+    def watch(real):
+        def spy(state, x, target, *rest, ws):
+            arrays = [x, target, *rest[:1], *ws.frames, ws.top, ws.pred,
+                      ws.scratch]
+            out = real(state, x, target, *rest, ws=ws)
+            seen.append(dtypes(*arrays, *out[-1].values()))
+            return out
+        return spy
+
+    real_step, real_teacher = restorer.sgd_step, pipeline._teacher_outputs
+
+    def spy_step(state, grads, lr):
+        new = real_step(state, grads, lr=lr)
+        seen.append(dtypes(*new.params.values(), *new.momentum.values()))
+        return new
+
+    def spy_teacher(*args):
+        rows = real_teacher(*args)
+        seen.append(dtypes(rows))
+        return rows
+
+    for name in ("restoration_loss_grads", "replay_loss_grads"):
+        monkeypatch.setattr(restorer, name, watch(getattr(restorer, name)))
+    monkeypatch.setattr(restorer, "sgd_step", spy_step)
+    monkeypatch.setattr(pipeline, "_teacher_outputs", spy_teacher)
+    ds = make_dataset(dataset_spec("a", 5, pairs=5, size=16))
+    replay = make_dataset(dataset_spec("b", 6, angle=30.0, pairs=3, size=16))
+    teacher = restorer.RestorerState.random_init(2, dtype=np.float32)
+    state = restorer.RestorerState.random_init(1, dtype=np.float32)
+    state, log = pipeline.train_stage(state, teacher, ds.pairs, replay.pairs,
+                                      _tiny_cfg(lam=1.0), 1, 2)
+    # teacher rows, then one step: new and replay losses, SGD
+    assert len(seen) == 4
+    assert all(s == {f32} for s in seen)
+    assert state.dtype == f32
+    assert all(isinstance(v, float) for v in log[0].values())
+
+
+# sha256 of a float64 stage's final parameters, momenta and loss log, as the
+# float64-only restorer computed them (numpy 2.4.6, OpenBLAS 0.3.31); another
+# numpy or BLAS build may round differently.
+FLOAT64_STAGE_DIGEST = (
+    "db7f6eabcaeaf2745b947295614a0db494c4747a6bdb7e58df565f8cb092092d")
+
+
+def test_float64_stage_is_bit_identical_to_the_float64_restorer():
+    ds = make_dataset(dataset_spec("a", 5, pairs=5, size=16))
+    replay = make_dataset(dataset_spec("b", 6, angle=30.0, pairs=3, size=16))
+    state, log = pipeline.train_stage(
+        restorer.RestorerState.random_init(1), restorer.RestorerState.random_init(2),
+        ds.pairs, replay.pairs, _tiny_cfg(lam=1.0), 9, 2)
+    digest = hashlib.sha256()
+    for part in (state.params, state.momentum):
+        for n, _ in restorer.LAYER_SHAPES:
+            assert part[n].dtype == np.float64
+            digest.update(part[n].tobytes())
+    digest.update(repr(log).encode())
+    assert digest.hexdigest() == FLOAT64_STAGE_DIGEST
+
+
+def test_runs_train_in_train_dtype(monkeypatch):
+    seen = []
+    real = pipeline.train_stage
+
+    def spy(state, *args):
+        seen.append(state.dtype)
+        return real(state, *args)
+
+    monkeypatch.setattr(pipeline, "train_stage", spy)
+    stream = _stream([30.0, 120.0], pairs=5)
+    cfg = _tiny_cfg(iterations=2)
+    for run in (run_stream, baseline_sf, baseline_individual):
+        report = run(stream, cfg)
+        assert all(np.isfinite(p) for p, _ in report.generalization)
+    assert seen == [np.dtype(pipeline.TRAIN_DTYPE)] * 6
+    assert pipeline.TRAIN_DTYPE == np.float32
+
+
 def test_lambda_zero_drops_consistency_from_total():
     stream = _stream([30.0, 120.0], pairs=5)
     report = run_stream(stream, _tiny_cfg(iterations=6, lam=0.0))
@@ -425,16 +511,16 @@ def test_training_sets_reject_a_dataset_with_no_training_pair():
 # ---------------------------------------------------------------------------
 
 
-def _watch_builds(monkeypatch, module, name, built, dead):
+def _watch_builds(monkeypatch, module, name, built, dead, pick=lambda out: out):
     """Wrap ``module.name`` so that each call first asserts that every
     object ``dead()`` lists has been freed, then keeps only a weakref to
-    what the call returns, in ``built``."""
+    what the call returns (its part ``pick`` selects), in ``built``."""
     real = getattr(module, name)
 
     def build(*args):
         assert [ref for ref in dead() if ref() is not None] == []
         out = real(*args)
-        built.append(weakref.ref(out))
+        built.append(weakref.ref(pick(out)))
         return out
 
     monkeypatch.setattr(module, name, build)
@@ -462,6 +548,22 @@ def test_run_stream_holds_one_replay_set_at_a_time(monkeypatch):
     report = run_stream(stream, _tiny_cfg(iterations=2, reuse=False))
     assert len(replays) == 3
     assert report.replay_active == [False, True, True, True]
+
+
+def test_similarity_command_holds_one_replay_set_at_a_time(monkeypatch, tmp_path,
+                                                           capsys):
+    # ``rainreplay similarity`` runs the chain with the reuse cache, so each
+    # replay set is the first of what apply_reuse returns
+    replays = []
+    _watch_builds(monkeypatch, memgen, "apply_reuse", replays, lambda: replays,
+                  pick=lambda out: out[0])
+    spec = tmp_path / "stream.txt"
+    spec.write_text("datasets=a,b,c,d\nimage_size=16\npair_count=6\nseed=5\n"
+                    + "".join(f"{d}.angle_mean={a}\n{d}.density=30\n"
+                              for d, a in zip("abcd", (30, 120, 75, 30))))
+    assert cli.main(["similarity", "--config", str(spec)]) == cli.EXIT_OK
+    assert len(replays) == 3
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -392,6 +392,98 @@ def test_restoration_and_replay_grads_agree():
 
 
 # ---------------------------------------------------------------------------
+# float32 training against the float64 oracles
+# ---------------------------------------------------------------------------
+
+# float32 keeps ~7 significant digits; over this fixture's three convs and
+# loss terms the measured worst is ~2e-7 of a tensor's largest entry, and
+# ~1e-5 on other inits.
+F32_FORWARD_RTOL = 1e-5
+F32_GRAD_RTOL = 1e-4
+
+
+def _assert_close_to(got, want, rtol):
+    """Every entry of got within rtol of want's largest entry."""
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_random_init_casts_float64_draws():
+    s64 = RestorerState.random_init(5, scale=0.3)
+    s32 = RestorerState.random_init(5, scale=0.3, dtype=np.float32)
+    assert (s64.dtype, s32.dtype) == (np.float64, np.float32)
+    for n, _ in LAYER_SHAPES:
+        assert s32.params[n].dtype == s32.momentum[n].dtype == np.float32
+        assert np.array_equal(s32.params[n], s64.params[n].astype(np.float32))
+        assert not s32.momentum[n].any()
+    assert sgd_step(s32, dict(s32.params), lr=0.1).dtype == np.float32
+
+
+def test_float32_forward_and_grads_match_float64():
+    s64, x, target, prev = _smooth_fixture()
+    s32 = RestorerState.random_init(5, scale=0.3, dtype=np.float32)
+    x32, t32, p32 = (a.astype(np.float32) for a in (x, target, prev))
+    pred = forward(s32, x32)
+    assert pred.dtype == np.float32
+    _assert_close_to(pred, forward(s64, x), F32_FORWARD_RTOL)
+    for got, want in ((restoration_loss_grads(s32, x32, t32),
+                       restoration_loss_grads(s64, x, target)),
+                      (replay_loss_grads(s32, x32, t32, p32, 1.0)[::2],
+                       replay_loss_grads(s64, x, target, prev, 1.0)[::2])):
+        (loss, grads), (want_loss, want_grads) = got, want
+        assert loss == pytest.approx(want_loss, rel=F32_GRAD_RTOL)
+        for n, _ in LAYER_SHAPES:
+            assert grads[n].dtype == np.float32
+            _assert_close_to(grads[n], want_grads[n], F32_GRAD_RTOL)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_workspace_mask_holds_one_bool_per_hidden_pixel(dtype):
+    for shape in [(4, 3, 32, 32), (1, 3, 5, 7), (3, 3, 16, 9)]:
+        ws = restorer.Workspace(shape, dtype=dtype)
+        bsz, _, h, w = shape
+        assert ws.mask.dtype == bool
+        assert ws.mask.size == restorer._HIDDEN * bsz * (h + 2) * (w + 2)
+        assert ws.frames[0].dtype == ws.pred.dtype == ws.tmp.dtype == dtype
+
+
+def test_workspace_of_another_dtype_is_rejected():
+    x = np.random.default_rng(0).uniform(0.0, 1.0, (2, 3, 16, 16))
+    for state_dtype, ws_dtype in ((np.float32, np.float64),
+                                  (np.float64, np.float32)):
+        state = RestorerState.random_init(1, dtype=state_dtype)
+        ws = restorer.Workspace(x.shape, dtype=ws_dtype)
+        with pytest.raises(TypeError, match="workspace holds"):
+            restoration_loss_grads(state, x, x, ws=ws)
+        with pytest.raises(TypeError, match="workspace holds"):
+            replay_loss_grads(state, x, x, x, 1.0, ws=ws)
+        with pytest.raises(TypeError, match="workspace holds"):
+            forward(state, x, ws=restorer.Workspace(x.shape, training=False,
+                                                    dtype=ws_dtype))
+
+
+def test_float32_step_allocates_half_the_float64_iterator_buffers():
+    # What a workspace step still allocates is numpy's ufunc iterator
+    # buffers, sized in elements: a float32 step takes about half of the
+    # float64 step's ~145 KiB.
+    rng = np.random.default_rng(3)
+    peaks = {}
+    for dtype in (np.float64, np.float32):
+        x, target, prev = rng.uniform(0.0, 1.0, (3, 4, 3, 32, 32)).astype(dtype)
+        state = RestorerState.random_init(4, dtype=dtype)
+        ws = restorer.Workspace(x.shape, dtype=dtype)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            restoration_loss_grads(state, x, target, ws=ws)
+            replay_loss_grads(state, x, target, prev, 1.0, ws=ws)
+            peaks[dtype] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert peaks[np.float32] <= 96 * 1024
+    assert peaks[np.float32] < 0.6 * peaks[np.float64]
+
+
+# ---------------------------------------------------------------------------
 # workspace
 # ---------------------------------------------------------------------------
 
@@ -572,6 +664,20 @@ def test_state_roundtrip_exact_any_values(tmp_path_factory, data):
         for n, _ in LAYER_SHAPES:
             assert got[n].shape == want[n].shape
             assert got[n].tobytes() == want[n].tobytes()
+
+
+def test_float32_state_roundtrips_exactly_through_f8_file(tmp_path):
+    state = RestorerState.random_init(9, dtype=np.float32)
+    state.momentum["w1"] += np.float32(1.0 / 3.0)
+    path = tmp_path / "state.bin"
+    save_state(state, path)
+    back = load_state(path)
+    assert back.dtype == np.float64  # the file is <f8, and so is what it loads
+    for part in ("params", "momentum"):
+        want, got = getattr(state, part), getattr(back, part)
+        for n, _ in LAYER_SHAPES:
+            assert np.array_equal(got[n], want[n])
+            assert got[n].astype(np.float32).tobytes() == want[n].tobytes()
 
 
 def test_state_rejects_bad_magic(tmp_path):
