@@ -170,25 +170,50 @@ def ssim(a: Image, b: Image) -> float:
     return float(np.mean(vals))
 
 
+def _unit_gradient(f: np.ndarray) -> np.ndarray:
+    """``np.gradient`` along the first axis at unit spacing: central
+    differences inside, one-sided ones at the two ends."""
+    g = np.empty(f.shape)
+    np.subtract(f[2:], f[:-2], out=g[1:-1])
+    g[1:-1] /= 2.0
+    np.subtract(f[1], f[0], out=g[0])
+    np.subtract(f[-1], f[-2], out=g[-1])
+    return g
+
+
 def _orientation_votes(gray: np.ndarray, bins: int):
     """Magnitude-weighted orientation votes, linearly split between bins.
 
     Unsigned orientations in [0, 180); bin centers at (i + 0.5) * 180 / bins.
+    The gradients are ``np.gradient``'s at unit spacing, the orientation is
+    ``arctan2`` folded by ``% 180`` and the votes are summed in pixel order,
+    low votes before high votes; each step is written out here so that it
+    reuses its temporaries.
     """
-    gy, gx = np.gradient(gray)
+    gy, gx = _unit_gradient(gray), _unit_gradient(gray.T).T
     mag = np.hypot(gx, gy)
-    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    ang = np.degrees(np.arctan2(gy, gx, out=gy), out=gy)
+    del gx
+    # % 180.0 on arctan2's range [-180, 180]: +-180 go to 0, negatives gain 180.
+    ang[ang == 180.0] = 0.0
+    np.add(ang, 180.0, out=ang, where=ang < 0.0)
 
-    bin_width = 180.0 / bins
-    pos = ang / bin_width - 0.5  # fractional bin index relative to centers
-    lo = np.floor(pos).astype(int)
-    frac = pos - lo
-    hi = (lo + 1) % bins
-    lo = lo % bins
+    ang /= 180.0 / bins
+    pos = np.subtract(ang, 0.5, out=ang)  # fractional bin index relative to centers
+    floor = np.floor(pos)
+    lo = floor.astype(np.intp)  # in [-1, bins - 1]
+    frac = np.subtract(pos, floor, out=pos)
+    del floor
+    hi = lo + 1
+    hi[hi == bins] = 0
+    lo[lo < 0] += bins
 
-    hist = np.zeros(bins)
-    np.add.at(hist, lo.ravel(), ((1.0 - frac) * mag).ravel())
-    np.add.at(hist, hi.ravel(), (frac * mag).ravel())
+    low = np.subtract(1.0, frac)
+    low *= mag
+    hist = np.bincount(lo.ravel(), weights=low.ravel(), minlength=bins)
+    del lo, low
+    frac *= mag
+    np.add.at(hist, hi.ravel(), frac.ravel())
     return hist
 
 

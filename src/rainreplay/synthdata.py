@@ -90,22 +90,29 @@ class DatasetStream:
 
 def gen_background(seed: int, size: int) -> Image:
     """Smooth low-frequency RGB field: 4 random-phase gratings per channel,
-    rescaled to [0.1, 0.9]."""
+    rescaled to [0.1, 0.9].
+
+    A grating amp·sin(a·x + b·y + φ) is separable:
+    sin(a·x + b·y + φ) = sin(b·y + φ)·cos(a·x) + cos(b·y + φ)·sin(a·x), so
+    each channel is one (size × 8) @ (8 × size) product of 1-D factors, with
+    the amplitudes folded into the row factors.
+    """
     if size < 16:
         raise ConfigError("size must be >= 16")
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    # Per channel and grating, in this order: frequency, orientation, phase,
+    # amplitude; one array call draws them as one scalar call each would.
+    u_freq, theta, phase, amp = rng.uniform(
+        (0.5, 0.0, 0.0, 0.5), (2.5, np.pi, 2.0 * np.pi, 1.0), (3, 4, 4)).T[..., None]
+    omega = 2.0 * np.pi * (u_freq / size)
+    coords = np.arange(size, dtype=np.float64)
+    row_arg = omega * np.sin(theta) * coords + phase
+    col_arg = omega * np.cos(theta) * coords
+    rows = np.concatenate([amp * np.sin(row_arg), amp * np.cos(row_arg)])
+    cols = np.concatenate([np.cos(col_arg), np.sin(col_arg)])
     data = np.empty((size, size, 3))
     for c in range(3):
-        acc = np.zeros((size, size))
-        for _ in range(4):
-            freq = rng.uniform(0.5, 2.5) / size
-            theta = rng.uniform(0.0, np.pi)
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            amp = rng.uniform(0.5, 1.0)
-            acc += amp * np.sin(
-                2.0 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta)) + phase
-            )
+        acc = rows[:, c].T @ cols[:, c]
         lo, hi = acc.min(), acc.max()
         if hi - lo < 1e-12:
             data[:, :, c] = 0.5
@@ -114,9 +121,15 @@ def gen_background(seed: int, size: int) -> Image:
     return Image(data)
 
 
-# Box pixels rasterised per vectorised step of draw_streak: larger chunks save
-# Python overhead but hold more per-pixel temporaries at once.
+# Candidate rows cut to their spans, and span pixels rasterised, per
+# vectorised step of draw_streak: larger blocks and chunks save Python
+# overhead but hold more per-row and per-pixel temporaries at once.
+_ROW_BLOCK = 1024
 _PIXEL_CHUNK = 4096
+
+# Slack added to the coverage radius when a row is cut to its span: far above
+# the rounding of the span's arithmetic, far below a pixel.
+_SPAN_SLACK = 1e-6
 
 
 def streak_count(density: float, size: int) -> int:
@@ -129,9 +142,11 @@ def draw_streak(canvas, cy, cx, angle_deg, length, width, intensity):
     ``cy``, ``cx``, ``angle_deg``, ``length`` and ``intensity`` are scalars or
     1-D arrays with one entry per streak; ``width`` is shared. Coverage falls
     off linearly over one pixel past the half-width, computed from exact
-    point-to-segment distance over each streak's bounding box. Every pixel sums
-    its streaks in the order given, onto the canvas's own value, so one call
-    over k streaks equals k one-streak calls bit for bit.
+    point-to-segment distance. Each streak is rasterised row by row, over the
+    x-span of each row where that distance can be below ``width/2 + 0.5``;
+    every pixel outside the spans would add +0.0. Every pixel sums its
+    streaks in the order given, onto the canvas's own value, so one call over
+    k streaks equals k one-streak calls bit for bit.
     """
     cy, cx, angle_deg, length, intensity = np.broadcast_arrays(
         *(np.atleast_1d(np.asarray(v, dtype=np.float64))
@@ -155,54 +170,103 @@ def draw_streak(canvas, cy, cx, angle_deg, length, width, intensity):
     degenerate = seg_len2 < 1e-12
     vy, vx = np.where(degenerate, 0.0, vy), np.where(degenerate, 0.0, vx)
     seg_len2 = np.where(degenerate, 1.0, seg_len2)
+    floats = np.stack([y0, x0, vy, vx, seg_len2, intensity])
 
     margin = width / 2.0 + 1.5
     ylo = np.maximum(0, np.floor(np.minimum(y0, y1) - margin).astype(np.int64))
     yhi = np.minimum(size_y, np.ceil(np.maximum(y0, y1) + margin).astype(np.int64) + 1)
-    xlo = np.maximum(0, np.floor(np.minimum(x0, x1) - margin).astype(np.int64))
-    xhi = np.minimum(size_x, np.ceil(np.maximum(x0, x1) + margin).astype(np.int64) + 1)
-    box_w = np.maximum(xhi - xlo, 0)
-    npix = np.maximum(yhi - ylo, 0) * box_w
-    # The boxes' pixels are numbered in streak order, row-major within a box,
-    # and rasterised _PIXEL_CHUNK at a time; a chunk may split a streak.
-    ends = np.cumsum(npix)
-    starts = ends - npix
-    total = int(npix.sum())
-    ints = np.stack([starts, box_w, ylo, xlo])
-    floats = np.stack([y0, x0, vy, vx, seg_len2, intensity])
+    # The candidate rows, each streak's box rows, are numbered in streak
+    # order and cut to their spans _ROW_BLOCK at a time. A block's pixels are
+    # numbered in row order and rasterised _PIXEL_CHUNK at a time; a chunk
+    # may split a row.
+    rows = np.maximum(yhi - ylo, 0)
+    first = np.cumsum(rows) - rows
+    n_rows = int(rows.sum())
+    cover = width / 2.0 + 0.5
     # add.at on a flat contiguous buffer is fast; a strided view is copied in
     # and written back, so any 2-D canvas works.
     work = np.ascontiguousarray(canvas)
     flat = work.reshape(-1)
-    cover = width / 2.0 + 0.5
-    for p0 in range(0, total, _PIXEL_CHUNK):
-        p1 = min(p0 + _PIXEL_CHUNK, total)
-        ks = slice(np.searchsorted(ends, p0, side="right"),
-                   np.searchsorted(starts, p1, side="left"))
-        counts = np.minimum(ends[ks], p1) - np.maximum(starts[ks], p0)
-        _draw_pixels(flat, size_x, np.arange(p0, p1), counts, ints[:, ks],
-                     floats[:, ks], cover)
+    for j0 in range(0, n_rows, _ROW_BLOCK):
+        j = np.arange(j0, min(j0 + _ROW_BLOCK, n_rows))
+        k = np.searchsorted(first, j, side="right") - 1  # skips rowless streaks
+        y = j - first[k] + ylo[k]
+        k, y, xlo, row_w = _row_spans(floats, k, y, cover + _SPAN_SLACK, size_x)
+        ends = np.cumsum(row_w)
+        starts = ends - row_w
+        offset = starts - xlo  # a pixel's number minus its x, along each row
+        del j, row_w, xlo
+        total = int(ends[-1]) if ends.size else 0
+        for p0 in range(0, total, _PIXEL_CHUNK):
+            p1 = min(p0 + _PIXEL_CHUNK, total)
+            ks = slice(np.searchsorted(ends, p0, side="right"),
+                       np.searchsorted(starts, p1, side="left"))
+            counts = np.minimum(ends[ks], p1) - np.maximum(starts[ks], p0)
+            _draw_pixels(flat, size_x, np.arange(p0, p1), counts, offset[ks], y[ks],
+                         floats[:, k[ks]], cover)
     if work is not canvas:
         canvas[...] = work
 
 
-def _draw_pixels(flat, size_x, pixels, counts, ints, floats, cover):
-    """Add the coverage of numbered box pixels to a flat canvas (in place).
+def _row_spans(floats, k, y, radius, size_x):
+    """Cut canvas rows to the x-spans that segments can cover.
 
-    ``counts`` gives how many of ``pixels`` belong to each streak in turn;
-    ``ints``/``floats`` hold those streaks' boxes and segments. Each per-pixel
-    array is built just before its first use and freed on return, which keeps
-    a chunk's peak memory near nine arrays of its size.
+    Row i is row ``y[i]`` of the segment ``floats[:, k[i]]``. Within a row,
+    the pixels closer than ``radius`` to the segment form one run: the
+    segment's capsule is the union of a disc at each end and the strip
+    between them, so the run ends where the row crosses a disc or one of the
+    strip's long sides. Returns each kept row's k, y, first x and pixel
+    count; rows with no pixel on the canvas are dropped.
+    """
+    y0, x0, vy, vx, seg_len2 = floats[:5, k]
+    d = y - y0  # each row's offset from its segment's start
+    r2 = radius * radius
+    # A row that misses a disc or a side gets NaN there, which fmin and
+    # fmax pass over.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # The disc at the start, then the one at the end (y0 + vy, x0 + vx).
+        reach = np.sqrt(r2 - d * d)
+        lo, hi = x0 - reach, x0 + reach
+        off = d - vy
+        np.sqrt(r2 - off * off, out=reach)
+        x1 = np.add(x0, vx, out=off)
+        np.fmin(lo, x1 - reach, out=lo)
+        np.fmax(hi, np.add(x1, reach, out=x1), out=hi)
+        # The sides: the points at radius·n from the segment's point at t in
+        # [0, 1], for the unit normal n = (vx, -vy) / |v| and its negative.
+        side = radius / np.sqrt(seg_len2)
+        for sign in (1.0, -1.0):
+            t = (d - sign * side * vx) / vy
+            t[(t < 0.0) | (t > 1.0)] = np.nan
+            t *= vx
+            t += x0
+            t -= sign * side * vy
+            np.fmin(lo, t, out=lo)
+            np.fmax(hi, t, out=hi)
+    del y0, x0, vy, vx, seg_len2, d, reach, off, x1, side, t
+    np.maximum(np.ceil(lo, out=lo), 0.0, out=lo)
+    np.minimum(np.floor(hi, out=hi), size_x - 1.0, out=hi)
+    keep = hi >= lo  # False where both are NaN
+    xlo = lo[keep].astype(np.int64)
+    return k[keep], y[keep], xlo, hi[keep].astype(np.int64) - xlo + 1
+
+
+def _draw_pixels(flat, size_x, pixels, counts, offset, y, floats, cover):
+    """Add the coverage of numbered row pixels to a flat canvas (in place).
+
+    ``counts`` gives how many of ``pixels`` lie on each row in turn. A
+    pixel's x is its number minus its row's ``offset``, its y is its row's
+    ``y``, and ``floats`` hold the rows' segments. Each per-pixel array is
+    built just before its first use and freed on return, which keeps a
+    chunk's peak memory near nine arrays of its size.
     """
     def per_pixel(values):
         return values.repeat(counts)
 
-    start, box_w, ylo, xlo = ints
     y0, x0, vy, vx, seg_len2, intensity = floats
-    iy, ix = np.divmod(pixels - per_pixel(start), per_pixel(box_w))
+    ix = pixels - per_pixel(offset)
     del pixels
-    iy += per_pixel(ylo)
-    ix += per_pixel(xlo)
+    iy = per_pixel(y)
     ky0, kvy = per_pixel(y0), per_pixel(vy)
     t = (iy - ky0) * kvy
     kx0, kvx = per_pixel(x0), per_pixel(vx)

@@ -1,7 +1,9 @@
 """Reference computations that only the tests use: finite-difference gradient
 checks for the restorer, the allocating restorer step that the workspace
 step must match bit for bit, closed forms for the replay-cache accounting,
-and the one-scalar-call-per-field streak draws of the rain renderers."""
+the one-scalar-call-per-field streak draws of the rain renderers, and the
+full-grid background, bounding-box rasteriser and ``np.gradient`` HOG votes
+that the program's faster versions must match."""
 
 import numpy as np
 
@@ -10,7 +12,7 @@ from rainreplay.imaging import (
     LAPLACIAN_KERNEL, Image, fold_replicate_border, pad_replicate,
 )
 from rainreplay.restorer import LAYER_SHAPES
-from rainreplay.synthdata import draw_streak, streak_count
+from rainreplay.synthdata import ConfigError, draw_streak, streak_count
 
 
 def backward(state, x, target, prev_out=None, lam=0.0):
@@ -250,3 +252,126 @@ class FreshBatchSampler:
         x, y = (np.stack([self.pairs[i][k].data.transpose(2, 0, 1) for i in picked])
                 for k in range(2))
         return x, y, picked
+
+
+# ---------------------------------------------------------------------------
+# Data synthesis and HOG votes as plain whole-array code: a full-grid sin per
+# grating, a rasteriser over each streak's bounding box, np.gradient votes.
+# ---------------------------------------------------------------------------
+
+
+def gen_background(seed: int, size: int) -> Image:
+    """``synthdata.gen_background`` with one full-grid ``sin`` per grating."""
+    if size < 16:
+        raise ConfigError("size must be >= 16")
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    data = np.empty((size, size, 3))
+    for c in range(3):
+        acc = np.zeros((size, size))
+        for _ in range(4):
+            freq = rng.uniform(0.5, 2.5) / size
+            theta = rng.uniform(0.0, np.pi)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            amp = rng.uniform(0.5, 1.0)
+            acc += amp * np.sin(
+                2.0 * np.pi * freq * (xx * np.cos(theta) + yy * np.sin(theta)) + phase
+            )
+        lo, hi = acc.min(), acc.max()
+        if hi - lo < 1e-12:
+            data[:, :, c] = 0.5
+        else:
+            data[:, :, c] = 0.1 + 0.8 * (acc - lo) / (hi - lo)
+    return Image(data)
+
+
+BOX_PIXEL_CHUNK = 4096
+
+
+def draw_streak_box(canvas, cy, cx, angle_deg, length, width, intensity):
+    """``synthdata.draw_streak`` over each streak's whole bounding box.
+
+    Every box pixel runs the program's coverage arithmetic, in streak order
+    and row-major within a box; the pixels the program skips add +0.0 here.
+    """
+    cy, cx, angle_deg, length, intensity = np.broadcast_arrays(
+        *(np.atleast_1d(np.asarray(v, dtype=np.float64))
+          for v in (cy, cx, angle_deg, length, intensity)))
+    size_y, size_x = canvas.shape
+    ang = np.radians(angle_deg)
+    dy, dx = np.cos(ang), -np.sin(ang)
+    half = length / 2.0
+    y0, x0 = cy - dy * half, cx - dx * half
+    y1, x1 = cy + dy * half, cx + dx * half
+    vy, vx = y1 - y0, x1 - x0
+    seg_len2 = vy * vy + vx * vx
+    degenerate = seg_len2 < 1e-12
+    vy, vx = np.where(degenerate, 0.0, vy), np.where(degenerate, 0.0, vx)
+    seg_len2 = np.where(degenerate, 1.0, seg_len2)
+
+    margin = width / 2.0 + 1.5
+    ylo = np.maximum(0, np.floor(np.minimum(y0, y1) - margin).astype(np.int64))
+    yhi = np.minimum(size_y, np.ceil(np.maximum(y0, y1) + margin).astype(np.int64) + 1)
+    xlo = np.maximum(0, np.floor(np.minimum(x0, x1) - margin).astype(np.int64))
+    xhi = np.minimum(size_x, np.ceil(np.maximum(x0, x1) + margin).astype(np.int64) + 1)
+    box_w = np.maximum(xhi - xlo, 0)
+    npix = np.maximum(yhi - ylo, 0) * box_w
+    ends = np.cumsum(npix)
+    starts = ends - npix
+    total = int(npix.sum())
+    ints = np.stack([starts, box_w, ylo, xlo])
+    floats = np.stack([y0, x0, vy, vx, seg_len2, intensity])
+    work = np.ascontiguousarray(canvas)
+    flat = work.reshape(-1)
+    cover = width / 2.0 + 0.5
+    for p0 in range(0, total, BOX_PIXEL_CHUNK):
+        p1 = min(p0 + BOX_PIXEL_CHUNK, total)
+        ks = slice(np.searchsorted(ends, p0, side="right"),
+                   np.searchsorted(starts, p1, side="left"))
+        counts = np.minimum(ends[ks], p1) - np.maximum(starts[ks], p0)
+        _draw_box_pixels(flat, size_x, np.arange(p0, p1), counts, ints[:, ks],
+                         floats[:, ks], cover)
+    if work is not canvas:
+        canvas[...] = work
+
+
+def _draw_box_pixels(flat, size_x, pixels, counts, ints, floats, cover):
+    def per_pixel(values):
+        return values.repeat(counts)
+
+    start, box_w, ylo, xlo = ints
+    y0, x0, vy, vx, seg_len2, intensity = floats
+    iy, ix = np.divmod(pixels - per_pixel(start), per_pixel(box_w))
+    iy += per_pixel(ylo)
+    ix += per_pixel(xlo)
+    ky0, kvy = per_pixel(y0), per_pixel(vy)
+    t = (iy - ky0) * kvy
+    kx0, kvx = per_pixel(x0), per_pixel(vx)
+    t += (ix - kx0) * kvx
+    t /= per_pixel(seg_len2)
+    np.clip(t, 0.0, 1.0, out=t)
+    ky0 += t * kvy
+    kx0 += t * kvx
+    dist = np.hypot(iy - ky0, ix - kx0)
+    coverage = np.clip(cover - dist, 0.0, 1.0) * per_pixel(intensity)
+    np.add.at(flat, iy * size_x + ix, coverage)
+
+
+def orientation_votes(gray, bins):
+    """``imaging._orientation_votes`` through ``np.gradient``, ``% 180.0`` and
+    one ``np.add.at`` for the low votes, then one for the high votes."""
+    gy, gx = np.gradient(gray)
+    mag = np.hypot(gx, gy)
+    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+
+    bin_width = 180.0 / bins
+    pos = ang / bin_width - 0.5
+    lo = np.floor(pos).astype(int)
+    frac = pos - lo
+    hi = (lo + 1) % bins
+    lo = lo % bins
+
+    hist = np.zeros(bins)
+    np.add.at(hist, lo.ravel(), ((1.0 - frac) * mag).ravel())
+    np.add.at(hist, hi.ravel(), (frac * mag).ravel())
+    return hist

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainreplay import imaging
 from rainreplay.imaging import (
@@ -8,6 +10,7 @@ from rainreplay.imaging import (
 )
 from rainreplay.synthdata import render_rain_layer
 
+import oracles
 from conftest import rain_params, random_image
 
 
@@ -206,6 +209,44 @@ def test_hog_rot90_permutes_argmax():
 def test_hog_too_small():
     with pytest.raises(ShapeError):
         hog(Image(np.zeros((4, 4, 1))), HogConfig(cell_size=8))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(h=st.integers(8, 64), w=st.integers(8, 64), bins=st.sampled_from([2, 9, 18]),
+       levels=st.sampled_from([None, 1, 4]), view=st.sampled_from(["whole", "strided"]),
+       seed=st.integers(0, 2**16))
+def test_orientation_votes_equal_the_gradient_oracle(h, w, bins, levels, view, seed):
+    """Quantised images add flat runs and exact 0, 45, 90 and 180 degree
+    gradients to the random ones; a strided view is voted as it stands."""
+    gray = np.random.default_rng(seed).uniform(0.0, 1.0, (h, w))
+    if levels is not None:
+        gray = np.round(gray * levels) / levels
+    if view == "strided":
+        gray = np.random.default_rng(seed).uniform(0.0, 1.0, (2 * h, w + 3))[::2, 3:]
+    assert _same_bits(imaging._orientation_votes(gray, bins),
+                      oracles.orientation_votes(gray, bins))
+
+
+@pytest.mark.parametrize("bins", [2, 9, 18])
+def test_orientation_votes_equal_the_oracle_on_flat_and_signed_zero_images(bins):
+    flat = np.full((16, 16), 0.3)
+    assert _same_bits(imaging._orientation_votes(flat, bins), np.zeros(bins))
+    assert _same_bits(imaging._orientation_votes(flat, bins),
+                      oracles.orientation_votes(flat, bins))
+    # Pixels of 1.0, 0.0 and -0.0: gradients of -0.0, and voting pixels whose
+    # arctan2 is exactly 180 (arctan2(0, -1)), exactly -180 and -0.0 degrees.
+    signed = np.random.default_rng(1).choice(np.array([1.0, 0.0, -0.0]), (8, 8))
+    gy, gx = np.gradient(signed)
+    ang = np.degrees(np.arctan2(gy, gx))[np.hypot(gx, gy) > 0.0]
+    assert np.signbit(gy[gy == 0.0]).any()
+    assert (ang == 180.0).any() and (ang == -180.0).any()
+    assert np.signbit(ang[ang == 0.0]).any()
+    assert _same_bits(imaging._orientation_votes(signed, bins),
+                      oracles.orientation_votes(signed, bins))
 
 
 # ---------------------------------------------------------------------------

@@ -334,10 +334,11 @@ def test_float32_stage_keeps_every_array_float32(monkeypatch):
 
 
 # sha256 of a float64 stage's final parameters, momenta and loss log, as the
-# float64-only restorer computed them (numpy 2.4.6, OpenBLAS 0.3.31); another
-# numpy or BLAS build may round differently.
+# float64-only restorer computed them (numpy 2.4.6, OpenBLAS 0.3.31) on the
+# separable backgrounds of gen_background; another numpy or BLAS build may
+# round differently.
 FLOAT64_STAGE_DIGEST = (
-    "db7f6eabcaeaf2745b947295614a0db494c4747a6bdb7e58df565f8cb092092d")
+    "455dbf2bce313e7a68c0b3401b21d3ff6bee6ef5534a1348e9c98f67e623d9b4")
 
 
 def test_float64_stage_is_bit_identical_to_the_float64_restorer():

@@ -28,6 +28,18 @@ def test_background_range():
     assert img.data.max() <= 0.9 + 1e-12
 
 
+@pytest.mark.parametrize("size", [16, 32, 64])
+def test_background_matches_the_full_grid_oracle(size):
+    """The separable gratings move a pixel by at most a few ulps. Each channel
+    still runs from exactly 0.1 to 0.9, the top to within the one ulp by
+    which 0.8 * span / span rounds."""
+    for seed in range(200):
+        got = gen_background(seed, size).data
+        assert np.abs(got - oracles.gen_background(seed, size).data).max() <= 4e-15
+        assert np.all(got.min(axis=(0, 1)) == 0.1)
+        assert np.all(np.abs(got.max(axis=(0, 1)) - 0.9) <= np.spacing(0.9))
+
+
 def test_background_seeds_differ():
     diffs = []
     for s in range(100):
@@ -283,8 +295,8 @@ def test_draw_streak_scalar_call_and_zero_streaks():
 
 
 def test_draw_streak_long_and_degenerate_streaks():
-    # Two streaks whose boxes each span several chunks, then one of length
-    # 1e-7, which the zero-length guard draws as a dot.
+    # Two streaks that each span several row blocks and pixel chunks, then
+    # one of length 1e-7, which the zero-length guard draws as a dot.
     canvas = np.random.default_rng(0).uniform(0.0, 0.5, (128, 128))
     want = canvas.copy()
     streaks = [(64.0, 64.0, 45.0, 90.0, 0.7), (60.0, 70.0, 135.0, 90.0, 0.4),
@@ -292,9 +304,13 @@ def test_draw_streak_long_and_degenerate_streaks():
     for s in streaks:
         _oracle_streak(want, *s[:4], 6.0, s[4])
     cy, cx, ang, length, inten = np.array(streaks).T
-    synthdata.draw_streak(canvas, cy, cx, ang, length, 6.0, inten)
-    side = 2 * (45.0 * np.sin(np.radians(45.0)) + 6.0 / 2 + 1.5)
-    assert side ** 2 > synthdata._PIXEL_CHUNK
+    block, chunk = 16, 128
+    with mock.patch.object(synthdata, "_ROW_BLOCK", block), \
+            mock.patch.object(synthdata, "_PIXEL_CHUNK", chunk):
+        synthdata.draw_streak(canvas, cy, cx, ang, length, 6.0, inten)
+    # Each long streak covers at least its vertical extent in rows and its
+    # length times its width in pixels.
+    assert 90.0 * np.cos(np.radians(45.0)) > 2 * block and 90.0 * 6.0 > 2 * chunk
     assert np.array_equal(canvas, want)
 
 
@@ -307,12 +323,13 @@ _streak = st.tuples(_coord, _coord, st.floats(0.0, 360.0),
 @settings(max_examples=60, deadline=None)
 @given(streaks=st.lists(_streak, min_size=1, max_size=12),
        width=st.floats(1.0, 4.0), chunk=st.sampled_from([1, 7, 100, None]),
+       block=st.sampled_from([1, 5, 60, None]),
        view=st.sampled_from(["whole", "rows", "strided"]),
        seed=st.integers(0, 2**16))
-def test_one_call_equals_streak_by_streak_calls(streaks, width, chunk, view, seed):
+def test_one_call_equals_streak_by_streak_calls(streaks, width, chunk, block, view, seed):
     """k streaks in one draw_streak call add up exactly as k one-streak calls,
     onto a non-zero canvas, a contiguous view or a strided view, at any chunk
-    size; nothing outside the view changes."""
+    and row-block size; nothing outside the view changes."""
     base = np.random.default_rng(seed).uniform(0.0, 1.0, (70, 60))
     batch, single = base.copy(), base.copy()
 
@@ -321,7 +338,9 @@ def test_one_call_equals_streak_by_streak_calls(streaks, width, chunk, view, see
 
     cy, cx, ang, length, inten = np.array(streaks).T
     chunk = chunk or synthdata._PIXEL_CHUNK
-    with mock.patch.object(synthdata, "_PIXEL_CHUNK", chunk):
+    block = block or synthdata._ROW_BLOCK
+    with mock.patch.object(synthdata, "_PIXEL_CHUNK", chunk), \
+            mock.patch.object(synthdata, "_ROW_BLOCK", block):
         synthdata.draw_streak(canvas(batch), cy, cx, ang, length, width, inten)
         for s in streaks:
             synthdata.draw_streak(canvas(single), *s[:4], width, s[4])
@@ -330,6 +349,35 @@ def test_one_call_equals_streak_by_streak_calls(streaks, width, chunk, view, see
     for s in streaks:
         _oracle_streak(canvas(want), *s[:4], width, s[4])
     assert np.array_equal(batch, want)
+
+
+# Angles at the axes and just short of 180 degrees, lengths of zero, of the
+# zero-length guard's scale and up to past the canvas, centres far enough out
+# that whole streaks miss the 70 x 60 canvas.
+_box_streak = st.tuples(
+    st.floats(-50.0, 120.0), st.floats(-50.0, 110.0),
+    st.sampled_from([0.0, 90.0, 180.0 - 1e-9]) | st.floats(0.0, 180.0),
+    st.sampled_from([0.0, 1e-7, 1e-6]) | st.floats(0.0, 90.0),
+    st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(streaks=st.lists(_box_streak, max_size=16),
+       width=st.sampled_from([1.0, 6.0]) | st.floats(1.0, 6.0),
+       view=st.sampled_from(["whole", "strided"]), seed=st.integers(0, 2**16))
+def test_draw_streak_equals_the_box_rasteriser(streaks, width, view, seed):
+    """Cutting each box row to its span skips only pixels that add +0.0: the
+    canvas equals the whole-box rasteriser's bit for bit."""
+    base = np.random.default_rng(seed).uniform(0.0, 1.0, (70, 60))
+    got, want = base.copy(), base.copy()
+
+    def canvas(a):
+        return a if view == "whole" else a[1:69:2, 58:0:-1]
+
+    cy, cx, ang, length, inten = np.array(streaks, dtype=np.float64).reshape(-1, 5).T
+    synthdata.draw_streak(canvas(got), cy, cx, ang, length, width, inten)
+    oracles.draw_streak_box(canvas(want), cy, cx, ang, length, width, inten)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
