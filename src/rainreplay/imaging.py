@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 PSNR_CAP_DB = 100.0
 _PSNR_MSE_FLOOR = 1e-10
@@ -130,44 +129,41 @@ def psnr(a: Image, b: Image) -> float:
     return float(10.0 * np.log10(1.0 / mse))
 
 
-def _gaussian_window(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords**2) / (2.0 * sigma**2))
-    win = np.outer(g, g)
-    return win / win.sum()
-
-
-def _ssim_channel(a: np.ndarray, b: np.ndarray) -> float:
-    win = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
-    c1 = SSIM_K1**2
-    c2 = SSIM_K2**2
-
-    def filt(img):
-        windows = sliding_window_view(img, (SSIM_WINDOW, SSIM_WINDOW))
-        return np.tensordot(windows, win, axes=([2, 3], [0, 1]))
-
-    mu_a = filt(a)
-    mu_b = filt(b)
-    var_a = filt(a * a) - mu_a**2
-    var_b = filt(b * b) - mu_b**2
-    cov = filt(a * b) - mu_a * mu_b
-    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
-    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
-    return float(np.mean(num / den))
+def _gaussian_rows(n: int) -> np.ndarray:
+    """(n - SSIM_WINDOW + 1) x n banded matrix whose row i holds the
+    normalized 1-D Gaussian in columns i .. i + SSIM_WINDOW - 1, so that
+    ``rows @ x`` filters x's first axis at every valid window position."""
+    coords = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
+    g = np.exp(-(coords**2) / (2.0 * SSIM_SIGMA**2))
+    i = np.arange(n - SSIM_WINDOW + 1)[:, None]
+    rows = np.zeros((i.size, n))
+    rows[i, i + np.arange(SSIM_WINDOW)] = g / g.sum()
+    return rows
 
 
 def ssim(a: Image, b: Image) -> float:
-    """Mean structural similarity over valid 11x11 Gaussian windows, per channel."""
+    """Mean structural similarity over valid 11x11 Gaussian windows, per channel.
+
+    The window is the outer product of a 1-D Gaussian with itself, so each
+    local mean is ``rows @ x @ cols.T``: two matrix products, made for the
+    five maps a, b, a², b² and ab of every channel at once."""
     _check_same_shape(a, b)
     if a.height < SSIM_WINDOW or a.width < SSIM_WINDOW:
         raise WindowError(
             f"image {a.height}x{a.width} smaller than {SSIM_WINDOW}x{SSIM_WINDOW} window"
         )
-    vals = [
-        _ssim_channel(a.data[:, :, c], b.data[:, :, c]) for c in range(a.channels)
-    ]
-    return float(np.mean(vals))
+    x, y = np.moveaxis(a.data, 2, 0), np.moveaxis(b.data, 2, 0)
+    # one expression, so that each product's operand is freed as it is used
+    mu_a, mu_b, e_aa, e_bb, e_ab = (
+        _gaussian_rows(a.height) @ np.stack([x, y, x * x, y * y, x * y])
+        @ _gaussian_rows(a.width).T)
+    c1, c2 = SSIM_K1**2, SSIM_K2**2
+    var_a = e_aa - mu_a**2
+    var_b = e_bb - mu_b**2
+    cov = e_ab - mu_a * mu_b
+    num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+    den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+    return float(np.mean(np.mean(num / den, axis=(1, 2))))
 
 
 def _unit_gradient(f: np.ndarray) -> np.ndarray:

@@ -313,9 +313,9 @@ def _conv3x3_backward(xp, w, dout, need_dx=True, dx=None, scratch=None):
 
 def _relu_padded(frame):
     """In place: ReLU of a conv output frame's interior, with the border set
-    to replicate it, which makes the frame the next conv's padded input."""
-    inner = frame[:, :, 1:-1, 1:-1]
-    np.maximum(inner, 0.0, out=inner)
+    to replicate it, which makes the frame the next conv's padded input. The
+    ReLU covers the whole contiguous frame, which takes no iterator buffer."""
+    np.maximum(frame, 0.0, out=frame)
     return fill_replicate_border(frame)
 
 

@@ -1,15 +1,17 @@
 """Reference computations that only the tests use: finite-difference gradient
-checks for the restorer, the allocating restorer step that the workspace
-step must match bit for bit, closed forms for the replay-cache accounting,
-the one-scalar-call-per-field streak draws of the rain renderers, and the
-full-grid background, bounding-box rasteriser and ``np.gradient`` HOG votes
-that the program's faster versions must match."""
+checks for the restorer, the allocating restorer step, with its ReLU on
+frame interiors only, that the workspace step must match bit for bit, closed
+forms for the replay-cache accounting, the one-scalar-call-per-field streak
+draws of the rain renderers, and the full-grid background, bounding-box
+rasteriser and ``np.gradient`` HOG votes that the program's faster versions
+must match."""
 
 import numpy as np
 
 from rainreplay import memgen, restorer
 from rainreplay.imaging import (
-    LAPLACIAN_KERNEL, Image, fold_replicate_border, pad_replicate,
+    LAPLACIAN_KERNEL, Image, fill_replicate_border, fold_replicate_border,
+    pad_replicate,
 )
 from rainreplay.restorer import LAYER_SHAPES
 from rainreplay.synthdata import ConfigError, draw_streak, streak_count
@@ -166,12 +168,19 @@ def conv3x3_backward_alloc(xp, w, dout, need_dx=True):
     return dw, db, fold_replicate_border(dxp.reshape(xp.shape))
 
 
+def relu_padded_interior(frame):
+    """``restorer._relu_padded`` with the ReLU on the frame's interior only."""
+    inner = frame[:, :, 1:-1, 1:-1]
+    np.maximum(inner, 0.0, out=inner)
+    return fill_replicate_border(frame)
+
+
 def forward_cached_alloc(state, x):
     p = state.params
     xc = np.ascontiguousarray(x.transpose(1, 0, 2, 3))
     frames = [pad_replicate(xc)]
     for w, b in restorer._CONVS[:-1]:
-        frames.append(restorer._relu_padded(conv3x3_alloc(frames[-1], p[w], p[b])))
+        frames.append(relu_padded_interior(conv3x3_alloc(frames[-1], p[w], p[b])))
     w, b = restorer._CONVS[-1]
     pred = xc - conv3x3_alloc(frames[-1], p[w], p[b])[:, :, 1:-1, 1:-1]
     return pred.transpose(1, 0, 2, 3), frames

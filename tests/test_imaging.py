@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,9 +36,17 @@ def psnr_oracle(a, b):
     return 10.0 * np.log10(1.0 / mse)
 
 
+def _gaussian_window(size: int, sigma: float) -> np.ndarray:
+    half = (size - 1) / 2.0
+    coords = np.arange(size) - half
+    g = np.exp(-(coords**2) / (2.0 * sigma**2))
+    win = np.outer(g, g)
+    return win / win.sum()
+
+
 def ssim_oracle(a, b):
     """Direct per-window evaluation, one valid window position at a time."""
-    win = imaging._gaussian_window(11, 1.5)
+    win = _gaussian_window(11, 1.5)
     c1, c2 = 0.01**2, 0.03**2
     per_channel = []
     for c in range(a.channels):
@@ -149,6 +159,41 @@ def test_ssim_symmetric(rng):
     a = random_image(rng, 16, 16)
     b = random_image(rng, 16, 16)
     assert ssim(a, b) == pytest.approx(ssim(b, a), abs=1e-12)
+
+
+def _ssim_operand(rng, shape, kind):
+    if kind == "random":
+        return Image(rng.uniform(0.0, 1.0, shape))
+    if kind == "quantised":  # 8-bit levels, as read from a PPM
+        return Image(rng.integers(0, 256, shape) / 255.0)
+    return Image(np.broadcast_to(rng.uniform(0.0, 1.0, shape[-1]), shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.integers(11, 40), w=st.integers(11, 40), c=st.sampled_from([1, 3]),
+       kinds=st.tuples(*[st.sampled_from(["random", "quantised", "constant"])] * 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_ssim_matches_window_oracle_on_any_shape(h, w, c, kinds, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (_ssim_operand(rng, (h, w, c), kind) for kind in kinds)
+    assert abs(ssim(a, b) - ssim_oracle(a, b)) <= 1e-12
+    assert abs(ssim(a, b) - ssim(b, a)) <= 1e-12
+
+
+def test_ssim_allocates_under_one_mib_at_64px():
+    # The five stacked maps of a 64 px RGB pair and their row-filtered
+    # product take 0.86 MiB at once; copying every 11x11 window took 2.8 MiB.
+    rng = np.random.default_rng(4)
+    a, b = random_image(rng, 64, 64), random_image(rng, 64, 64)
+    ssim(a, b)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ssim_too_small():

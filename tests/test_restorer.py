@@ -20,7 +20,7 @@ from rainreplay.synthdata import make_dataset
 from conftest import dataset_spec
 from oracles import (
     backprop_alloc, backward, forward_cached_alloc, grad_check, kink_margin,
-    loss_grads_alloc,
+    loss_grads_alloc, relu_padded_interior,
 )
 
 
@@ -544,6 +544,21 @@ def test_workspace_step_allocates_only_parameter_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak <= 192 * 1024
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
+                                         (np.float64, np.uint64)])
+def test_relu_padded_matches_interior_relu_whatever_the_border_holds(dtype, bits):
+    rng = np.random.default_rng(8)
+    frame = rng.standard_normal((8, 4, 34, 34)).astype(dtype)
+    frame[..., 5, 7] = -0.0
+    border = np.ones(frame.shape[-2:], bool)
+    border[1:-1, 1:-1] = False
+    garbage = [-np.inf, np.inf, np.nan, np.finfo(dtype).min, -1e30, 3.5]
+    frame[..., border] = rng.choice(garbage, frame[..., border].shape)
+    got = restorer._relu_padded(frame.copy())
+    want = relu_padded_interior(frame.copy())
+    assert np.array_equal(got.view(bits), want.view(bits))
 
 
 def test_forward_result_holds_only_the_prediction():
