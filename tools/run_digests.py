@@ -6,8 +6,11 @@ for a seventh, and prints, per configuration, the digest of each of
 ``memory.csv``, ``generalization.csv``, ``cost.csv`` and ``manifest.txt``.
 Then runs ``rainreplay gen`` on the first spec and prints the digest of every
 file it writes (each dataset's ``spec.txt`` and PPM pairs), and the digest of
-what ``rainreplay similarity`` prints for it. A refactor that must not change
-results leaves every printed digest unchanged:
+what ``rainreplay similarity`` prints for it. Last come the digests of what
+``rainreplay cost`` prints for fixed sizes and constants, and of the CSV that
+``rainreplay compare`` writes for the clgid and sf runs, so that every
+subcommand is covered. A refactor that must not change results leaves every
+printed digest unchanged:
 
     python3 tools/run_digests.py > before.txt   # on the old checkout
     python3 tools/run_digests.py > after.txt    # on the new checkout
@@ -63,6 +66,22 @@ CONFIGS = (
 )
 RUN_FILES = ("memory.csv", "generalization.csv", "cost.csv", "manifest.txt")
 
+# Distinct values, so that a constant read into the wrong slot shows.
+COST_CONSTANTS = """\
+p_g=1e6
+e_g=10
+b_g=4
+f_g_train=1e6
+t_g_train=1e-3
+f_r=1e5
+t_r=1e-5
+p_d=2e6
+e_d=20
+b_d=4
+f_d_train=5e6
+t_d_train=2e-3
+"""
+
 
 def _digest(path):
     with open(path, "rb") as fh:
@@ -101,6 +120,21 @@ def main():
             raise SystemExit("similarity: nonzero exit code")
         print(f"{'similarity':<20} {'stdout':<20} "
               f"{hashlib.sha256(printed.encode()).hexdigest()}")
+        constants = os.path.join(tmp, "constants.txt")
+        with open(constants, "w") as fh:
+            fh.write(COST_CONSTANTS)
+        code, printed = _main(["cost", "--sizes", "10,20,30,40",
+                               "--constants", constants])
+        if code != cli.EXIT_OK:
+            raise SystemExit("cost: nonzero exit code")
+        print(f"{'cost':<20} {'stdout':<20} "
+              f"{hashlib.sha256(printed.encode()).hexdigest()}")
+        table = os.path.join(tmp, "comparison.csv")
+        runs = [os.path.join(tmp, f"run{k}") for k, (label, _, _) in
+                enumerate(CONFIGS) if label in ("clgid", "sf")]
+        if _main(["compare", *runs, "--out", table])[0] != cli.EXIT_OK:
+            raise SystemExit("compare: nonzero exit code")
+        print(f"{'compare':<20} {'comparison.csv':<20} {_digest(table)}")
 
 
 if __name__ == "__main__":
