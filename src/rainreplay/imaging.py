@@ -1,4 +1,4 @@
-"""Image container, pixel I/O, quality metrics, and gradient-orientation descriptors.
+"""Image container, PPM output, quality metrics, and gradient-orientation descriptors.
 
 Everything in this module is a pure function on immutable inputs, except the
 border helpers that work in place and the optional output buffers of the
@@ -9,6 +9,7 @@ otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +20,13 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+# the normalized 1-D Gaussian whose outer product with itself is the window
+_SSIM_GAUSSIAN = np.exp(-((np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0) ** 2)
+                        / (2.0 * SSIM_SIGMA**2))
+_SSIM_GAUSSIAN /= _SSIM_GAUSSIAN.sum()
 
+HOG_CELL_SIZE = 8
+HOG_BINS = 9
 KL_EPS = 1e-8
 
 # BT.601 luma weights
@@ -40,16 +47,6 @@ class ShapeError(ValueError):
 
 class WindowError(ValueError):
     """Image too small for the requested filter window."""
-
-
-class PpmParseError(ValueError):
-    """Malformed or truncated PPM/PGM file."""
-
-    def __init__(self, message, byte_offset=None):
-        if byte_offset is not None:
-            message = f"{message} (at byte offset {byte_offset})"
-        super().__init__(message)
-        self.byte_offset = byte_offset
 
 
 @dataclass(frozen=True)
@@ -88,18 +85,6 @@ class Image:
 
 
 @dataclass(frozen=True)
-class HogConfig:
-    cell_size: int = 8
-    bins: int = 9
-
-    def __post_init__(self):
-        if self.cell_size < 2:
-            raise ValueError("cell_size must be >= 2")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
-
-
-@dataclass(frozen=True)
 class HogDescriptor:
     """Global normalized orientation histogram (sums to 1)."""
 
@@ -129,15 +114,15 @@ def psnr(a: Image, b: Image) -> float:
     return float(10.0 * np.log10(1.0 / mse))
 
 
+@lru_cache
 def _gaussian_rows(n: int) -> np.ndarray:
-    """(n - SSIM_WINDOW + 1) x n banded matrix whose row i holds the
-    normalized 1-D Gaussian in columns i .. i + SSIM_WINDOW - 1, so that
+    """(n - SSIM_WINDOW + 1) x n banded matrix, built once per n and read-only,
+    whose row i holds ``_SSIM_GAUSSIAN`` in columns i .. i + SSIM_WINDOW - 1:
     ``rows @ x`` filters x's first axis at every valid window position."""
-    coords = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0
-    g = np.exp(-(coords**2) / (2.0 * SSIM_SIGMA**2))
     i = np.arange(n - SSIM_WINDOW + 1)[:, None]
     rows = np.zeros((i.size, n))
-    rows[i, i + np.arange(SSIM_WINDOW)] = g / g.sum()
+    rows[i, i + np.arange(SSIM_WINDOW)] = _SSIM_GAUSSIAN
+    rows.flags.writeable = False
     return rows
 
 
@@ -213,24 +198,24 @@ def _orientation_votes(gray: np.ndarray, bins: int):
     return hist
 
 
-def hog(img: Image, cfg: HogConfig = HogConfig()) -> HogDescriptor:
+def hog(img: Image) -> HogDescriptor:
     """Global HOG: all cell histograms summed into one normalized histogram."""
-    if img.height < cfg.cell_size or img.width < cfg.cell_size:
+    if img.height < HOG_CELL_SIZE or img.width < HOG_CELL_SIZE:
         raise ShapeError(
-            f"image {img.height}x{img.width} smaller than one {cfg.cell_size}px cell"
+            f"image {img.height}x{img.width} smaller than one {HOG_CELL_SIZE}px cell"
         )
     gray = img.luma()
     # Crop to whole cells so every vote belongs to a complete cell.
-    h = (gray.shape[0] // cfg.cell_size) * cfg.cell_size
-    w = (gray.shape[1] // cfg.cell_size) * cfg.cell_size
-    hist = _orientation_votes(gray[:h, :w], cfg.bins)
+    h = (gray.shape[0] // HOG_CELL_SIZE) * HOG_CELL_SIZE
+    w = (gray.shape[1] // HOG_CELL_SIZE) * HOG_CELL_SIZE
+    hist = _orientation_votes(gray[:h, :w], HOG_BINS)
 
     total = hist.sum()
     if total < 1e-12:
         return HogDescriptor(
-            bins=cfg.bins, values=np.full(cfg.bins, 1.0 / cfg.bins), degenerate=True
+            bins=HOG_BINS, values=np.full(HOG_BINS, 1.0 / HOG_BINS), degenerate=True
         )
-    return HogDescriptor(bins=cfg.bins, values=hist / total)
+    return HogDescriptor(bins=HOG_BINS, values=hist / total)
 
 
 def kl_divergence(p: HogDescriptor, q: HogDescriptor) -> float:
@@ -312,73 +297,6 @@ def laplacian_batch_adjoint(dout: np.ndarray, out=None, *, tmp=None) -> np.ndarr
     for k, l, c in _LAPLACIAN_TAPS:
         dxp[..., k : k + h, l : l + w] += np.multiply(dout, c, out=tmp)
     return fold_replicate_border(dxp)[..., 1:-1, 1:-1]
-
-
-def laplacian(img: Image) -> np.ndarray:
-    """Per-channel 4-neighbor Laplacian with replicate-padded borders.
-
-    Returned unclipped as an H x W x C float array (values may leave [0, 1]).
-    """
-    return np.moveaxis(laplacian_batch(np.moveaxis(img.data, 2, 0)), 0, 2)
-
-
-# ---------------------------------------------------------------------------
-# PPM / PGM I/O (binary P5 / P6, maxval 255)
-# ---------------------------------------------------------------------------
-
-
-def _read_token(buf: bytes, pos: int):
-    """Read one whitespace-delimited header token, skipping '#' comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise PpmParseError("unexpected end of header", byte_offset=pos)
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace():
-        pos += 1
-    return buf[start:pos], pos
-
-
-def read_ppm(path) -> Image:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    magic, pos = _read_token(buf, 0)
-    if magic == b"P6":
-        channels = 3
-    elif magic == b"P5":
-        channels = 1
-    else:
-        raise PpmParseError(f"unsupported magic {magic!r}", byte_offset=0)
-    fields = []
-    for _ in range(3):
-        tok, pos = _read_token(buf, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise PpmParseError(f"non-integer header field {tok!r}", byte_offset=pos)
-    width, height, maxval = fields
-    if width <= 0 or height <= 0:
-        raise PpmParseError(f"invalid dimensions {width}x{height}", byte_offset=pos)
-    if maxval != 255:
-        raise PpmParseError(f"only maxval 255 supported, got {maxval}", byte_offset=pos)
-    pos += 1  # single whitespace byte after maxval
-    expected = width * height * channels
-    payload = buf[pos : pos + expected]
-    if len(payload) != expected:
-        raise PpmParseError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}",
-            byte_offset=pos,
-        )
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Image(arr.astype(np.float64) / 255.0)
 
 
 def write_ppm(img: Image, path):

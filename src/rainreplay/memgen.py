@@ -66,7 +66,7 @@ def recover_rain_layer(rainy: Image, clean: Image) -> np.ndarray:
     return np.maximum(rainy.luma() - clean.luma(), 0.0)
 
 
-def fit_generator(ds: RainDataset, gen_id=None) -> MemoryGenerator:
+def fit_generator(ds: RainDataset) -> MemoryGenerator:
     layers = [recover_rain_layer(r, c) for r, c in ds.pairs]
     total_mass = sum(float(l.sum()) for l in layers)
     if total_mass < 1e-9:
@@ -107,7 +107,7 @@ def fit_generator(ds: RainDataset, gen_id=None) -> MemoryGenerator:
         length_mean, length_std, width = 8.0, 2.0, 1.0
     vals = np.concatenate(intensities) if intensities else np.array([0.1])
     gen = MemoryGenerator(
-        id=gen_id if gen_id is not None else ds.spec.id,
+        id=ds.spec.id,
         angle_hist=hist,
         length_mean=length_mean,
         length_std=length_std,
@@ -246,9 +246,6 @@ class ReplayCache:
     stage: int = 1  # stage whose replay build the cache reflects
     entries: list = field(default_factory=list)  # per-slot list of (rainy, clean)
 
-    def counts(self):
-        return [len(e) for e in self.entries]
-
 
 @dataclass(frozen=True)
 class ReusePlan:
@@ -256,10 +253,6 @@ class ReusePlan:
     required: tuple  # r_{i,n} per slot
     cached: tuple  # c_{i,n-1} per slot (0 for the new slot)
     delta: tuple  # max(0, r - c); delta[-1] = required[-1]
-
-    @property
-    def total_fresh(self):
-        return sum(self.delta)
 
 
 def reuse_plan(cache: ReplayCache, n: int, m_n: int) -> ReusePlan:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import imaging, memgen, restorer
-from .imaging import HogConfig, hog, kl_divergence, psnr, ssim
+from .imaging import HOG_BINS, hog, kl_divergence, psnr, ssim
 from .synthdata import (
     ConfigError, DatasetStream, RainDataset, make_dataset, make_holdout,
 )
@@ -121,26 +121,26 @@ class StreamReport:
         return float(np.mean(vals))
 
 
-def aggregate_hog(images, cfg: HogConfig = HogConfig()):
+def aggregate_hog(images):
     """Dataset-level descriptor: mean of per-image HOGs, renormalized."""
-    vals = np.mean([hog(img, cfg).values for img in images], axis=0)
-    return imaging.HogDescriptor(bins=cfg.bins, values=vals / vals.sum())
+    vals = np.mean([hog(img).values for img in images], axis=0)
+    return imaging.HogDescriptor(bins=HOG_BINS, values=vals / vals.sum())
 
 
 def similarity(current_rainy, replay: memgen.ReplayDataset | None,
-               n_priors: int, cfg: HogConfig = HogConfig()) -> SimilarityReport:
+               n_priors: int) -> SimilarityReport:
     """Rain-pattern similarity between the incoming dataset and each prior
     slot's replayed subset; smaller KL means more similar."""
     if replay is None or n_priors == 0:
         return SimilarityReport.bootstrap()
-    h_n = aggregate_hog(current_rainy, cfg)
+    h_n = aggregate_hog(current_rainy)
     scores = []
     for slot in range(n_priors):
         subset = replay.subset(slot)
         if not subset:
             scores.append(None)
             continue
-        h_i = aggregate_hog([r for r, _ in subset], cfg)
+        h_i = aggregate_hog([r for r, _ in subset])
         scores.append(kl_divergence(h_i, h_n))
     populated = [s for s in scores if s is not None]
     if not populated:

@@ -6,7 +6,7 @@ bias) pair; the forward and backward passes loop over them. The head predicts
 the rain residual, so the restored image is x - head(x). Zero-initialized
 weights give the identity. Training uses the fixed ``CHARBONNIER_EPS`` and
 ``MOMENTUM``; a state flattens to one vector in ``LAYER_SHAPES`` order, the
-layout of ``flat_params`` and of the state file.
+layout of the state file.
 
 Batches are channels-first arrays of shape (B, 3, H, W). A pass computes in
 the state's dtype (``RestorerState.dtype``), casting the batch into its first
@@ -126,12 +126,6 @@ class RestorerState:
             params={n: v.copy() for n, v in self.params.items()},
             momentum={n: v.copy() for n, v in self.momentum.items()},
         )
-
-    def flat_params(self):
-        return _flatten(self.params)
-
-    def set_flat_params(self, flat):
-        self.params = _unflatten(flat)
 
 
 def _flatten(arrays):
@@ -414,11 +408,6 @@ def _charbonnier_terms(pred, target, grad=None, tmp=None):
     return loss, d
 
 
-def charbonnier(pred, target):
-    _check_shapes(pred, target)
-    return _charbonnier_terms(pred, target)[0]
-
-
 def _edge_terms(pred, target, lap=None, lap_target=None, padded=None,
                 tmp=None):
     """Edge loss (Charbonnier of the Laplacians) of pred against target and
@@ -431,11 +420,6 @@ def _edge_terms(pred, target, lap=None, lap_target=None, padded=None,
     return loss, laplacian_batch_adjoint(g_lap, padded, tmp=tmp)
 
 
-def edge_loss(pred, target):
-    _check_shapes(pred, target)
-    return _edge_terms(pred, target)[0]
-
-
 def _consistency_terms(out_a, out_b, grad=None, tmp=None):
     """Mean absolute difference between two network outputs (L1) and its
     gradient in out_a, written into ``grad`` with ``tmp`` as scratch."""
@@ -444,16 +428,6 @@ def _consistency_terms(out_a, out_b, grad=None, tmp=None):
     np.sign(d, out=d)
     d /= d.size
     return loss, d
-
-
-def consistency_loss(out_a, out_b):
-    """Mean absolute difference between two network outputs (L1)."""
-    _check_shapes(out_a, out_b)
-    return _consistency_terms(out_a, out_b)[0]
-
-
-def _consistency_grad(out_a, out_b):
-    return _consistency_terms(out_a, out_b)[1]
 
 
 def _loss_grads(state, x, target, prev_out, lam, ws):

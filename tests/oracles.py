@@ -2,9 +2,9 @@
 checks for the restorer, the allocating restorer step, with its ReLU on
 frame interiors only, that the workspace step must match bit for bit, closed
 forms for the replay-cache accounting, the one-scalar-call-per-field streak
-draws of the rain renderers, and the full-grid background, bounding-box
+draws of the rain renderers, the full-grid background, bounding-box
 rasteriser and ``np.gradient`` HOG votes that the program's faster versions
-must match."""
+must match, and the PPM/PGM reader that checks ``imaging.write_ppm``."""
 
 import numpy as np
 
@@ -48,11 +48,11 @@ def grad_check(state, x, target, prev_out=None, lam=0.0, n_samples=200,
     over n_samples randomly chosen parameters."""
     _, grads = backward(state, x, target, prev_out, lam)
     flat_grads = np.concatenate([grads[n].ravel() for n, _ in LAYER_SHAPES])
-    flat = state.flat_params()
+    flat = restorer._flatten(state.params)
 
     def loss_at(vec):
         s = state.copy()
-        s.set_flat_params(vec)
+        s.params = restorer._unflatten(vec)
         return backward(s, x, target, prev_out, lam)[0]
 
     rng = np.random.default_rng(seed)
@@ -384,3 +384,73 @@ def orientation_votes(gray, bins):
     np.add.at(hist, lo.ravel(), ((1.0 - frac) * mag).ravel())
     np.add.at(hist, hi.ravel(), (frac * mag).ravel())
     return hist
+
+
+# ---------------------------------------------------------------------------
+# PPM / PGM input (binary P5 / P6, maxval 255): the reader of the files that
+# ``imaging.write_ppm`` writes.
+# ---------------------------------------------------------------------------
+
+
+class PpmParseError(ValueError):
+    """Malformed or truncated PPM/PGM file."""
+
+    def __init__(self, message, byte_offset=None):
+        if byte_offset is not None:
+            message = f"{message} (at byte offset {byte_offset})"
+        super().__init__(message)
+        self.byte_offset = byte_offset
+
+
+def _read_token(buf: bytes, pos: int):
+    """Read one whitespace-delimited header token, skipping '#' comments."""
+    n = len(buf)
+    while pos < n:
+        c = buf[pos : pos + 1]
+        if c == b"#":
+            while pos < n and buf[pos : pos + 1] != b"\n":
+                pos += 1
+        elif c.isspace():
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise PpmParseError("unexpected end of header", byte_offset=pos)
+    start = pos
+    while pos < n and not buf[pos : pos + 1].isspace():
+        pos += 1
+    return buf[start:pos], pos
+
+
+def read_ppm(path) -> Image:
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    magic, pos = _read_token(buf, 0)
+    if magic == b"P6":
+        channels = 3
+    elif magic == b"P5":
+        channels = 1
+    else:
+        raise PpmParseError(f"unsupported magic {magic!r}", byte_offset=0)
+    fields = []
+    for _ in range(3):
+        tok, pos = _read_token(buf, pos)
+        try:
+            fields.append(int(tok))
+        except ValueError:
+            raise PpmParseError(f"non-integer header field {tok!r}", byte_offset=pos)
+    width, height, maxval = fields
+    if width <= 0 or height <= 0:
+        raise PpmParseError(f"invalid dimensions {width}x{height}", byte_offset=pos)
+    if maxval != 255:
+        raise PpmParseError(f"only maxval 255 supported, got {maxval}", byte_offset=pos)
+    pos += 1  # single whitespace byte after maxval
+    expected = width * height * channels
+    payload = buf[pos : pos + expected]
+    if len(payload) != expected:
+        raise PpmParseError(
+            f"truncated payload: expected {expected} bytes, got {len(payload)}",
+            byte_offset=pos,
+        )
+    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    return Image(arr.astype(np.float64) / 255.0)

@@ -44,21 +44,21 @@ def _term_grad_error(state, x, target, prev, term, n_samples=80, h=1e-4):
     def loss(s):
         pred = restorer.forward(s, x)
         if term == "char":
-            return restorer.charbonnier(pred, target)
+            return restorer._charbonnier_terms(pred, target)[0]
         if term == "edge":
-            return restorer.edge_loss(pred, target)
-        return restorer.consistency_loss(pred, prev)
+            return restorer._edge_terms(pred, target)[0]
+        return restorer._consistency_terms(pred, prev)[0]
 
     pred, cache = restorer._forward_cached(state, x)
     dpred = {
         "char": restorer._charbonnier_terms(pred, target)[1],
         "edge": restorer._edge_terms(pred, target)[1],
-        "consist": restorer._consistency_grad(pred, prev),
+        "consist": restorer._consistency_terms(pred, prev)[1],
     }[term]
     grads = restorer._backprop(state, cache, dpred)
     flat_g = np.concatenate(
         [grads[n].ravel() for n, _ in restorer.LAYER_SHAPES])
-    base = state.flat_params()
+    base = restorer._flatten(state.params)
     rng = np.random.default_rng(7)
     idx = rng.choice(base.size, size=n_samples, replace=False)
     worst = 0.0
@@ -66,10 +66,10 @@ def _term_grad_error(state, x, target, prev, term, n_samples=80, h=1e-4):
         v = base.copy()
         v[i] += h
         s = state.copy()
-        s.set_flat_params(v)
+        s.params = restorer._unflatten(v)
         lp = loss(s)
         v[i] -= 2 * h
-        s.set_flat_params(v)
+        s.params = restorer._unflatten(v)
         lm = loss(s)
         fd = (lp - lm) / (2 * h)
         worst = max(worst, abs(fd - flat_g[i])
@@ -90,11 +90,11 @@ def test_criterion_1_gradient_fidelity(capsys):
     flat = np.concatenate([grads[n].ravel() for n, _ in restorer.LAYER_SHAPES])
     i = int(np.argmax(np.abs(flat)))
     h = 1e-4
-    base = state.flat_params()
+    base = restorer._flatten(state.params)
 
     def total(vec):
         s = state.copy()
-        s.set_flat_params(vec)
+        s.params = restorer._unflatten(vec)
         l_rep, l_con, _ = restorer.replay_loss_grads(s, x, target, prev, 1.0)
         return l_rep + l_con
 
@@ -284,7 +284,7 @@ def test_criterion_7_equivalence_oracles(capsys):
 
 def test_criterion_8_metric_oracles(capsys):
     from rainreplay.imaging import (
-        Image, hog, kl_divergence, laplacian, psnr, ssim,
+        Image, hog, kl_divergence, laplacian_batch, psnr, ssim,
     )
     rng = np.random.default_rng(12345)
     a = Image(rng.uniform(0, 1, (32, 32, 3)))
@@ -300,7 +300,8 @@ def test_criterion_8_metric_oracles(capsys):
               - test_imaging.kl_oracle(dp.values, dq.values)) < 1e-12
 
     small = Image(rng.uniform(0, 1, (8, 8, 3)))
-    ok &= np.allclose(laplacian(small), test_imaging.laplacian_oracle(small),
+    ok &= np.allclose(laplacian_batch(test_imaging.planes(small.data)),
+                      test_imaging.planes(test_imaging.laplacian_oracle(small)),
                       atol=1e-12)
 
     # HOG: dominant bin of a pure vertical ramp is the 90-degree bin

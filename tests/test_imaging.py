@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rainreplay import imaging
 from rainreplay.imaging import (
-    HogConfig, Image, PpmParseError, ShapeError, WindowError,
-    hog, kl_divergence, laplacian, psnr, read_ppm, ssim, write_ppm,
+    Image, ShapeError, WindowError,
+    hog, kl_divergence, laplacian_batch, psnr, ssim, write_ppm,
 )
 from rainreplay.synthdata import render_rain_layer
 
 import oracles
 from conftest import rain_params, random_image
+from oracles import PpmParseError, read_ppm
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def test_hog_rot90_permutes_argmax():
 
 def test_hog_too_small():
     with pytest.raises(ShapeError):
-        hog(Image(np.zeros((4, 4, 1))), HogConfig(cell_size=8))
+        hog(Image(np.zeros((4, 4, 1))))
 
 
 def _same_bits(a, b):
@@ -342,15 +344,20 @@ def test_kl_bin_mismatch():
 # ---------------------------------------------------------------------------
 
 
+def planes(x):
+    """An H x W x C array as the (C, H, W) view that ``laplacian_batch`` takes."""
+    return np.moveaxis(x, 2, 0)
+
+
 def test_laplacian_constant_is_zero():
     img = Image(np.full((8, 8, 3), 0.37))
-    assert np.allclose(laplacian(img), 0.0, atol=1e-14)
+    assert np.allclose(laplacian_batch(planes(img.data)), 0.0, atol=1e-14)
 
 
 def test_laplacian_impulse_response():
     data = np.zeros((7, 7, 1))
     data[3, 3, 0] = 1.0
-    out = laplacian(Image(data))[:, :, 0]
+    out = laplacian_batch(planes(Image(data).data))[0]
     assert out[3, 3] == -4.0
     for y, x in ((2, 3), (4, 3), (3, 2), (3, 4)):
         assert out[y, x] == 1.0
@@ -359,11 +366,12 @@ def test_laplacian_impulse_response():
 
 def test_laplacian_matches_loop_oracle(rng):
     img = random_image(rng, 8, 8, 3)
-    assert np.allclose(laplacian(img), laplacian_oracle(img), atol=1e-12)
+    assert np.allclose(laplacian_batch(planes(img.data)),
+                       planes(laplacian_oracle(img)), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# PPM I/O
+# PPM output, read back by the reader in oracles.py
 # ---------------------------------------------------------------------------
 
 
@@ -383,6 +391,25 @@ def test_pgm_roundtrip(rng, tmp_path):
     back = read_ppm(path)
     assert back.channels == 1
     assert np.allclose(back.data, np.rint(img.data * 255.0) / 255.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=hnp.arrays(np.float64,
+                       st.tuples(st.integers(1, 24), st.integers(1, 24),
+                                 st.sampled_from([1, 3])),
+                       elements=st.floats(0.0, 1.0)))
+def test_ppm_roundtrip_quantizes_to_the_nearest_level(tmp_path_factory, data):
+    """The file holds rint(clip(x) * 255) per sample, so reading it back gives
+    that level over 255 exactly, within half a level of x. The half-level
+    bound allows 1e-15 for the rounding of x * 255 and of the division."""
+    img = Image(data)
+    path = tmp_path_factory.mktemp("ppm") / "img.ppm"
+    write_ppm(img, path)
+    back = read_ppm(path)
+    assert back.data.shape == img.data.shape
+    assert np.array_equal(back.data,
+                          np.rint(np.clip(img.data, 0.0, 1.0) * 255.0) / 255.0)
+    assert np.abs(back.data - img.data).max() <= 0.5 / 255.0 + 1e-15
 
 
 def test_ppm_minimal_file(tmp_path):

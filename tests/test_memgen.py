@@ -281,7 +281,7 @@ def test_reuse_plan_examples():
     plan = reuse_plan(cache, 3, 20)
     assert plan.required == (10, 10)
     assert plan.delta == (4, 10)
-    assert plan.total_fresh == 14
+    assert sum(plan.delta) == 14
 
 
 def test_reuse_plan_staleness():
@@ -332,7 +332,7 @@ def test_reuse_fresh_calls_match_counted_cost(backgrounds, sizes):
     for n, m in enumerate(sizes[1:], start=2):
         plan = reuse_plan(cache, n, m)
         rep, cache, c = apply_reuse(cache, plan, gens[: n - 1], backgrounds, seed=n)
-        assert len(rep) == m and c == plan.total_fresh
+        assert len(rep) == m and c == sum(plan.delta)
         calls += c
     assert calls == costs.replay_cost_reuse_counted(sizes)
 

@@ -11,7 +11,7 @@ from rainreplay import restorer
 from rainreplay.imaging import ShapeError, pad_replicate
 from rainreplay.restorer import (
     CHARBONNIER_EPS, LAYER_SHAPES, PARAM_COUNT, NumericalFaultError,
-    RestorerState, charbonnier, consistency_loss, edge_loss, forward,
+    RestorerState, forward,
     images_to_batch, load_state, replay_loss_grads, restore_image,
     restoration_loss_grads, save_state, sgd_step,
 )
@@ -227,7 +227,7 @@ def test_forward_matches_named_layer_reference(shape):
 def test_param_count():
     assert PARAM_COUNT == 1027
     state = RestorerState.zeros()
-    assert state.flat_params().size == PARAM_COUNT
+    assert restorer._flatten(state.params).size == PARAM_COUNT
     assert sum(v.size for v in state.params.values()) == PARAM_COUNT
 
 
@@ -239,47 +239,52 @@ def test_param_count():
 def test_charbonnier_closed_forms(rng):
     a = rng.uniform(0, 1, (1, 3, 5, 5))
     eps = CHARBONNIER_EPS
-    assert charbonnier(a, a) == pytest.approx(eps, abs=1e-15)
+    assert restorer._charbonnier_terms(a, a)[0] == pytest.approx(eps, abs=1e-15)
     b = a + 0.2
-    assert charbonnier(a, b) == pytest.approx(np.sqrt(0.04 + eps * eps),
-                                              abs=1e-15)
+    assert restorer._charbonnier_terms(a, b)[0] == pytest.approx(
+        np.sqrt(0.04 + eps * eps), abs=1e-15)
 
 
 def test_charbonnier_matches_scalar_oracle(rng):
     a = rng.uniform(0, 1, (2, 3, 6, 6))
     b = rng.uniform(0, 1, (2, 3, 6, 6))
-    assert charbonnier(a, b) == pytest.approx(charbonnier_oracle(a, b),
-                                              abs=1e-12)
+    assert restorer._charbonnier_terms(a, b)[0] == pytest.approx(
+        charbonnier_oracle(a, b), abs=1e-12)
 
 
 def test_edge_loss_constant_images():
     a = np.full((1, 3, 8, 8), 0.3)
     b = np.full((1, 3, 8, 8), 0.9)
     # both laplacians vanish, leaving the charbonnier floor
-    assert edge_loss(a, b) == pytest.approx(CHARBONNIER_EPS, abs=1e-15)
+    assert restorer._edge_terms(a, b)[0] == pytest.approx(CHARBONNIER_EPS,
+                                                          abs=1e-15)
 
 
 def test_consistency_loss_closed_form(rng):
     a = rng.uniform(0, 1, (2, 3, 4, 4))
-    assert consistency_loss(a, a) == 0.0
+    assert restorer._consistency_terms(a, a)[0] == 0.0
     b = a.copy()
     b[0, 0, 0, 0] += 0.5
-    assert consistency_loss(a, b) == pytest.approx(0.5 / a.size, abs=1e-15)
+    assert restorer._consistency_terms(a, b)[0] == pytest.approx(0.5 / a.size,
+                                                                 abs=1e-15)
 
 
 def test_consistency_matches_scalar_oracle(rng):
     a = rng.uniform(0, 1, (2, 3, 4, 4))
     b = rng.uniform(0, 1, (2, 3, 4, 4))
     expected = sum(abs(x - y) for x, y in zip(a.ravel(), b.ravel())) / a.size
-    assert consistency_loss(a, b) == pytest.approx(expected, abs=1e-12)
+    assert restorer._consistency_terms(a, b)[0] == pytest.approx(expected,
+                                                                 abs=1e-12)
 
 
 def test_loss_shape_mismatch(rng):
+    state = RestorerState.random_init(0)
     a = rng.uniform(0, 1, (1, 3, 4, 4))
     b = rng.uniform(0, 1, (1, 3, 4, 5))
-    for fn in (charbonnier, edge_loss, consistency_loss):
-        with pytest.raises(ShapeError):
-            fn(a, b)
+    with pytest.raises(ShapeError):
+        restoration_loss_grads(state, a, b)
+    with pytest.raises(ShapeError):
+        replay_loss_grads(state, a, a, b, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +313,8 @@ def test_charbonnier_input_gradient(rng):
     pred = rng.uniform(0, 1, (1, 3, 6, 6))
     target = rng.uniform(0, 1, (1, 3, 6, 6))
     err = _input_grad_check(
-        charbonnier, lambda p, t: restorer._charbonnier_terms(p, t)[1],
-        pred, target)
+        lambda p, t: restorer._charbonnier_terms(p, t)[0],
+        lambda p, t: restorer._charbonnier_terms(p, t)[1], pred, target)
     assert err < 1e-4
 
 
@@ -317,15 +322,17 @@ def test_edge_loss_input_gradient(rng):
     pred = rng.uniform(0, 1, (1, 3, 6, 6))
     target = rng.uniform(0, 1, (1, 3, 6, 6))
     err = _input_grad_check(
-        edge_loss, lambda p, t: restorer._edge_terms(p, t)[1], pred, target)
+        lambda p, t: restorer._edge_terms(p, t)[0],
+        lambda p, t: restorer._edge_terms(p, t)[1], pred, target)
     assert err < 1e-4
 
 
 def test_consistency_input_gradient(rng):
     pred = rng.uniform(0, 1, (1, 3, 6, 6))
     other = pred + rng.uniform(0.05, 0.3, pred.shape)  # away from the kink
-    err = _input_grad_check(consistency_loss, restorer._consistency_grad,
-                            pred, other)
+    err = _input_grad_check(
+        lambda p, o: restorer._consistency_terms(p, o)[0],
+        lambda p, o: restorer._consistency_terms(p, o)[1], pred, other)
     assert err < 1e-4
 
 
@@ -353,11 +360,11 @@ def test_fault_injection_detected():
 
     # central finite difference at the corrupted coordinate
     h = 1e-4
-    base = state.flat_params()
+    base = restorer._flatten(state.params)
 
     def loss_at(vec):
         s = state.copy()
-        s.set_flat_params(vec)
+        s.params = restorer._unflatten(vec)
         l_rep, l_con, _ = replay_loss_grads(s, x, target, prev, 1.0)
         return l_rep + l_con
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainreplay import imaging, memgen, synthdata
-from rainreplay.imaging import hog, kl_divergence, read_ppm
+from rainreplay.imaging import hog, kl_divergence
 from rainreplay.synthdata import (
     ConfigError, DatasetSpec, gen_background, make_dataset, make_holdout,
     make_stream, render_rain_layer, streak_count,
@@ -155,7 +155,7 @@ def test_export_dataset(tmp_path):
     synthdata.export_dataset(ds, tmp_path)
     d = tmp_path / "exp"
     assert (d / "spec.txt").exists()
-    back = read_ppm(d / "0_rain.ppm")
+    back = oracles.read_ppm(d / "0_rain.ppm")
     quantized = np.rint(ds.pairs[0][0].data * 255.0) / 255.0
     assert np.allclose(back.data, quantized)
     text = (d / "spec.txt").read_text()

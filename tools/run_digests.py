@@ -66,7 +66,7 @@ CONFIGS = (
 )
 RUN_FILES = ("memory.csv", "generalization.csv", "cost.csv", "manifest.txt")
 
-# Distinct values, so that a constant read into the wrong slot shows.
+# The toy constants of demos/replay_reuse_costs.py.
 COST_CONSTANTS = """\
 p_g=1e6
 e_g=10

@@ -11,7 +11,11 @@ summary, and exits 1 if any check failed or any pass raised:
 ``--figures`` also prints each pass's reference figures (the deltas, the fresh
 replay samples and the PSNRs, rounded to 4 decimals) as one JSON line per seed
 and workload, so the output of two checkouts can be diffed for the same
-behaviour, not only the same failures.
+behaviour, not only the same failures. Capture stdout only, so that the
+file's hash can be compared across checkouts and records:
+
+    python3 tools/seed_sweep.py 0 100 --figures > sweep.txt
+    sha256sum sweep.txt
 
 Nothing is timed, so the sweep may share the machine with other work. BLAS
 runs on perfbench's thread count, and the package is imported from the
