@@ -272,9 +272,10 @@ def fold_replicate_border(dxp: np.ndarray) -> np.ndarray:
 def laplacian_batch(x: np.ndarray, out=None, *, padded=None, tmp=None) -> np.ndarray:
     """4-neighbor Laplacian over the last two axes, replicate-padded borders.
 
-    The taps are summed in ``LAPLACIAN_KERNEL`` row-major order. Optional
+    The taps are summed in ``LAPLACIAN_KERNEL`` row-major order; a unit tap
+    adds its slice as it is, which equals the slice times 1. Optional
     buffers: ``out`` for the result, ``padded`` for x's padded frame and
-    ``tmp`` for one tap's term, shaped like x.
+    ``tmp`` for the centre tap's term, shaped like x.
     """
     xp = pad_replicate(x, out=padded)
     h, w = x.shape[-2:]
@@ -282,20 +283,22 @@ def laplacian_batch(x: np.ndarray, out=None, *, padded=None, tmp=None) -> np.nda
     out.fill(0.0)
     tmp = np.empty(x.shape) if tmp is None else tmp
     for k, l, c in _LAPLACIAN_TAPS:
-        out += np.multiply(xp[..., k : k + h, l : l + w], c, out=tmp)
+        tap = xp[..., k : k + h, l : l + w]
+        out += tap if c == 1.0 else np.multiply(tap, c, out=tmp)
     return out
 
 
 def laplacian_batch_adjoint(dout: np.ndarray, out=None, *, tmp=None) -> np.ndarray:
     """Adjoint of ``laplacian_batch``, returned as the interior of a padded
-    frame, ``out`` if given; ``tmp``, shaped like dout, may hold one tap's
-    term."""
+    frame, ``out`` if given; ``tmp``, shaped like dout, may hold the centre
+    tap's term. A unit tap adds dout as it is."""
     h, w = dout.shape[-2:]
     dxp = np.empty(dout.shape[:-2] + (h + 2, w + 2)) if out is None else out
     dxp.fill(0.0)
     tmp = np.empty(dout.shape) if tmp is None else tmp
     for k, l, c in _LAPLACIAN_TAPS:
-        dxp[..., k : k + h, l : l + w] += np.multiply(dout, c, out=tmp)
+        dxp[..., k : k + h, l : l + w] += (
+            dout if c == 1.0 else np.multiply(dout, c, out=tmp))
     return fold_replicate_border(dxp)[..., 1:-1, 1:-1]
 
 

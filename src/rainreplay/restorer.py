@@ -24,28 +24,43 @@ Gregg 2017 ("Low-memory GEMM-based convolution algorithms for deep neural
 networks"). Only the 3-channel first layer stacks its nine tap slices, one
 image at a time, into a 27-row block for one GEMM per image, which measured
 faster.
+
+The 8-channel frames lie between zeroed guard bands of W+3 elements, the
+farthest a tap reads from its output position, so each tap reads one
+contiguous (B*(H+2)*(W+2), C) Fortran-ordered window of the frame's memory,
+which spans the whole frame, border included. A ``Workspace`` builds the
+nine windows once, and those convs run as nine scipy BLAS ``?gemm`` calls
+with beta = 1, each accumulating its tap straight into the output frame, with
+no per-tap product buffer or numpy add. Each output element still gets one
+K-term dot product per tap, added once, as a GEMM into a buffer and an add
+would give it. The windows also reach past the interior: there the forward
+writes border outputs, which the ReLU's border fill overwrites and nothing
+reads of the head's, and the backward adds products of the gradient frames'
+zero border.
 The backward pass reads each conv's cached input frame twice, for dW (one
 GEMM per tap) and for the ReLU mask, then writes the conv's input gradient
-over it: per tap one GEMM accumulated into the slice it read, and the border
-folded back onto the edge pixels.
+over it: per tap one ``?gemm`` accumulating into the window it read, and
+the border folded back onto the edge pixels.
 
 Every batch-sized array of a step lives in a ``Workspace`` built for one
 batch shape: the frames, the head's output frame (later its gradient), the
-prediction (later its gradient), the per-tap GEMM products and three loss
-temporaries, with arrays whose lifetimes do not overlap sharing memory (Chen
-et al. 2016, "Training Deep Nets with Sublinear Memory Cost"). The loss step
-takes the edge and consistency terms first, then writes the Charbonnier
-gradient over the prediction, which nothing reads after it, and sums the
-other two into it. A training stage keeps one workspace, so a step allocates
-only parameter-sized arrays, and an evaluation keeps one for its one-image
-forwards; ``forward`` and the loss functions called without one build a
-throwaway workspace, ``forward``'s without the loss and backward buffers.
+prediction (later its gradient), the first layer's stacked taps and three
+loss temporaries, with arrays whose lifetimes do not overlap sharing memory
+(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost"). The
+loss step takes the edge and consistency terms first, then writes the
+Charbonnier gradient over the prediction, which nothing reads after it, and
+sums the other two into it. A training stage keeps one workspace, so a step
+allocates only parameter-sized arrays, and an evaluation keeps one for its
+one-image forwards; ``forward`` and the loss functions called without one
+build a throwaway workspace, ``forward``'s without the loss and backward
+buffers.
 
-All forward and backward math is straight numpy, so runs are bit-reproducible
-on one numpy/BLAS build; other builds may sum in another order and differ in
-the last bits. Each output pixel reads only its own image, so
-``forward(x)[i]`` equals ``forward(x[i:i+1])[0]`` up to rounding: a GEMM may
-round an output column differently depending on where in the batch it lies.
+All forward and backward math is numpy and scipy's BLAS, so runs are
+bit-reproducible on one numpy/scipy build; other builds may sum in another
+order and differ in the last bits. Each output pixel reads only its own
+image, so ``forward(x)[i]`` equals ``forward(x[i:i+1])[0]`` up to rounding:
+a GEMM may round an output column differently depending on where in the
+batch it lies.
 """
 
 from __future__ import annotations
@@ -55,6 +70,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .imaging import (
     Image, ShapeError, fill_replicate_border, fold_replicate_border,
@@ -84,6 +100,9 @@ MOMENTUM = 0.9  # SGD momentum of every step
 # one GEMM rather than running nine shifted GEMMs; with 9C = 27 rows the single
 # GEMM measured faster.
 _STACKED_MAX_CHANNELS = 3
+
+# The BLAS GEMM of each dtype a workspace may hold
+_GEMM = {np.dtype(np.float32): blas.sgemm, np.dtype(np.float64): blas.dgemm}
 
 STATE_MAGIC = b"RRST"
 STATE_VERSION = 1
@@ -156,12 +175,14 @@ class Workspace:
 
     - ``frames[i]`` is conv i's padded channel-major input frame,
       (C, B, H+2, W+2). Conv i writes its output into ``frames[i + 1]``, and
-      the head into ``top``; ``pred`` is x minus top's interior, and the
-      loss step writes the prediction's gradient over it.
+      the head into ``top``. Each frame lies between guard bands of W+3
+      zeros, and ``taps[i]``, for every frame but the first, holds the GEMM
+      of the dtype and the frame's nine tap windows (see ``_frame_taps``).
+    - ``pred`` is x minus top's interior, batch-major like x, and the loss
+      step writes the prediction's gradient over it.
     - ``scratch`` holds what one kernel needs at a time: the first layer's
-      stacked taps of one image, a conv's per-tap GEMM product, or the three
-      (B, 3, H, W) loss temporaries, which live between the forward and the
-      backward pass.
+      stacked taps of one image, or the three (B, 3, H, W) loss temporaries,
+      which live between the forward and the backward pass.
     - Between those passes ``top`` is free, and the edge loss uses it as
       ``padded``, a (B, 3, H+2, W+2) frame.
     - ``mask`` holds one ReLU mask of the backward pass.
@@ -177,38 +198,43 @@ class Workspace:
         bsz, c, h, w = shape
         hp, wp = h + 2, w + 2
         pixels = bsz * hp * wp
-        n = pixels - 2 * (wp + 1)  # flat positions a tap slice spans
-        m = hp * wp - 2 * (wp + 1)  # the same within one image
+        guard = wp + 1  # how far a tap reads from its output position
+        m = hp * wp - 2 * guard  # flat positions one image's tap slice spans
         batch = bsz * c * h * w
-        scratch = max(9 * ci * m if ci <= _STACKED_MAX_CHANNELS else o * n
-                      for ci, o in _CHANNELS)
+        scratch = 9 * _CHANNELS[0][0] * m
         dtype = np.dtype(dtype)
         mask = 0
         if training:
-            scratch = max(scratch, _HIDDEN * n, 3 * batch)
+            scratch = max(scratch, 3 * batch)
             # elements that hold _HIDDEN * pixels one-byte bools
             mask = -(-_HIDDEN * pixels // dtype.itemsize)
         # One allocation, so that the allocator reuses it whole from one
         # workspace to the next instead of trimming and faulting in its
-        # parts. The prediction is apart: the view that ``forward`` returns
-        # keeps only it alive.
-        sizes = [ci * pixels for ci in _FRAME_CHANNELS] + [scratch, mask]
-        buf, parts = np.empty(sum(sizes), dtype), []
-        for k in sizes:
-            parts.append(buf[:k])
-            buf = buf[k:]
-        *self.frames, self.top = (a.reshape(ci, bsz, hp, wp)
-                                  for a, ci in zip(parts, _FRAME_CHANNELS))
+        # parts: a guard, then each frame followed by a guard. Only the
+        # guards are zeroed. The prediction is apart: the view that
+        # ``forward`` returns keeps only it alive.
+        *starts, end = guard + np.cumsum([0] + [ci * pixels + guard
+                                                for ci in _FRAME_CHANNELS])
+        buf = np.empty(end + scratch + mask, dtype)
+        frames = []
+        for ci, start in zip(_FRAME_CHANNELS, starts):
+            buf[start - guard : start] = 0.0
+            frames.append(buf[start : start + ci * pixels].reshape(ci, bsz, hp, wp))
+        buf[end - guard : end] = 0.0
+        *self.frames, self.top = frames
+        # the first frame is read by the stacked GEMM and takes no gradient
+        self.taps = [None] + [_frame_taps(buf, start, frame.shape)
+                              for start, frame in zip(starts[1:], frames[1:-1])]
         self.shape = shape
         self.dtype = dtype
-        self.pred = np.empty((c, bsz, h, w), dtype)
-        self.scratch = parts[-2]
+        self.pred = np.empty(shape, dtype)
+        self.scratch = buf[end : end + scratch]
         if training:
             self.tmp, self.lap, self.lap_target = (
                 self.scratch[k * batch : (k + 1) * batch].reshape(shape)
                 for k in range(3))
             self.padded = self.top.reshape(bsz, c, hp, wp)
-            self.mask = parts[-1].view(bool)
+            self.mask = buf[end + scratch :].view(bool)
 
 
 def _view(buf, shape, dtype):
@@ -236,23 +262,41 @@ def _flat_taps(xp):
     return xf, s, xf.shape[1] - 2 * s, taps
 
 
-def _conv3x3(xp, w, b, out=None, scratch=None):
+def _frame_taps(buf, start, shape):
+    """(gemm, windows) of the (C, B, H+2, W+2) frame of the given shape that
+    starts at flat position ``start`` of buf, between guards of W+3 zeros:
+    the BLAS GEMM of buf's dtype, and for each tap (k, l), in ``_flat_taps``
+    order, the (B*(H+2)*(W+2), C) Fortran-ordered window whose row q holds
+    what the output at frame position q reads. The centre tap's window is the
+    frame itself."""
+    c, bsz, hp, wp = shape
+    size = c * bsz * hp * wp
+    windows = tuple(buf[start + d : start + d + size].reshape(c, -1).T
+                    for d in (k * wp + l - (wp + 1)
+                              for k in range(3) for l in range(3)))
+    return _GEMM[buf.dtype], windows
+
+
+def _conv3x3(xp, w, b, out=None, scratch=None, taps=None):
     """Replicate-padded 3x3 conv of a (C, B, H, W) activation x, given as its
     padded frame xp = pad_replicate(x). Returns an (O, B, H+2, W+2) frame,
     ``out`` if given, whose interior is the conv output and whose border is
-    unspecified. ``scratch`` is an optional flat buffer for the taps.
+    unspecified. ``scratch`` is an optional flat buffer for the stacked
+    taps.
 
     With 9C small (the 3-channel first layer) each image's nine tap slices
     are stacked into one (9C, m) block for a single GEMM, which is fastest;
-    otherwise nine shifted GEMMs accumulate, and no 9C-row matrix is built."""
+    otherwise ``taps``, xp's ``_frame_taps``, must be given, and nine GEMMs
+    accumulate one window each into the output frame, with no 9C-row matrix
+    and no per-tap product."""
     c, bsz, hp, wp = xp.shape
     o = w.shape[0]
-    xf, s, n, taps = _flat_taps(xp)
     if out is None:
         out = np.empty((o, bsz, hp, wp), w.dtype)
     of = out.reshape(o, -1)
     of.fill(0.0)
     if c <= _STACKED_MAX_CHANNELS:
+        xf, s, n, _ = _flat_taps(xp)
         m = hp * wp - 2 * s
         cols = _view(scratch, (9 * c, m), w.dtype)
         # stacked[c, k, l, q] = xf[c, k*(W+2) + l + q], the nine tap slices:
@@ -266,43 +310,45 @@ def _conv3x3(xp, w, b, out=None, scratch=None):
             np.copyto(cols.reshape(c, 3, 3, m), stacked[..., i : i + m])
             np.matmul(w.reshape(o, 9 * c), cols, out=of[:, s + i : s + i + m])
     else:
-        prod = _view(scratch, (o, n), w.dtype)
-        for k, l, off in taps:
-            np.matmul(w[:, :, k, l], xf[:, off : off + n], out=prod)
-            of[:, s : s + n] += prod
+        gemm, windows = taps
+        # out^T += window @ w[:, :, k, l]^T, per tap. Each tap's weights are
+        # contiguous, so the GEMM takes them without a copy.
+        ot = of.T
+        for window, wk in zip(windows, w.transpose(2, 3, 0, 1).reshape(9, o, c)):
+            gemm(1.0, window, wk.T, 1.0, ot, overwrite_c=1)
     of += b[:, None]
     return out
 
 
-def _conv3x3_backward(xp, w, dout, need_dx=True, dx=None, scratch=None):
+def _conv3x3_backward(xp, w, dout, dx_taps=None):
     """(dw, db, dx) of ``_conv3x3(xp, w, b)``. dout is the gradient of the
     output as an (O, B, H+2, W+2) frame with a zero border; dx, returned only
-    if need_dx, is the gradient of x in the same form. It is written into
-    the frame ``dx`` if given, which may be xp itself: xp is read for dw
-    first. ``scratch`` is an optional flat buffer for the per-tap products.
+    if ``dx_taps`` is given, is the gradient of x in the same form, written
+    into the frame those ``_frame_taps`` belong to, which may be xp's own:
+    xp is read for dw first.
 
     The zero border makes the positions that are not output pixels
     contribute nothing: dW of a tap is one GEMM against that tap's input
-    slice, and dX accumulates each tap's GEMM into the slice it read, then
+    slice, and dX accumulates each tap's GEMM into the window it read, then
     folds the padding back onto the edge pixels."""
-    o = w.shape[0]
+    o, c = w.shape[:2]
     xf, s, n, taps = _flat_taps(xp)
-    d = dout.reshape(o, -1)[:, s : s + n]
+    dof = dout.reshape(o, -1)
+    d = dof[:, s : s + n]
     dw = np.empty(w.shape, w.dtype)
     for k, l, off in taps:
         dw[:, :, k, l] = d @ xf[:, off : off + n].T
     db = d.sum(axis=1)
-    if not need_dx:
+    if dx_taps is None:
         return dw, db, None
-    if dx is None:
-        dx = np.empty(xp.shape, w.dtype)
-    dxf = dx.reshape(xf.shape)
+    gemm, windows = dx_taps
+    dxf = windows[4].T  # the centre tap's window: the frame
     dxf.fill(0.0)
-    prod = _view(scratch, (xf.shape[0], n), w.dtype)
-    for k, l, off in taps:
-        np.matmul(w[:, :, k, l].T, d, out=prod)
-        dxf[:, off : off + n] += prod
-    return dw, db, fold_replicate_border(dx)
+    # window += dout^T @ w[:, :, k, l], per tap
+    dt = dof.T
+    for window, wk in zip(windows, w.transpose(2, 3, 1, 0).reshape(9, c, o)):
+        gemm(1.0, dt, wk.T, 1.0, window, overwrite_c=1)
+    return dw, db, fold_replicate_border(dxf.reshape(xp.shape))
 
 
 def _relu_padded(frame):
@@ -319,8 +365,8 @@ def _relu_padded(frame):
 
 
 def _forward_cached(state, x, ws=None):
-    """Prediction for a (B, 3, H, W) batch, as a (B, 3, H, W) view of
-    ``ws.pred``, and the workspace ``ws``, whose frames ``_backprop`` reads.
+    """Prediction for a (B, 3, H, W) batch, ``ws.pred``, and the workspace
+    ``ws``, whose frames ``_backprop`` reads.
     Without ws, a training workspace of the state's dtype is built for x.
     x may have another dtype; it is cast into the first frame."""
     if ws is None:
@@ -334,18 +380,18 @@ def _forward_cached(state, x, ws=None):
     p = state.params
     frames = ws.frames
     pad_replicate(x.transpose(1, 0, 2, 3), out=frames[0])
-    for (w, b), xp, out in zip(_CONVS, frames, frames[1:]):
-        _relu_padded(_conv3x3(xp, p[w], p[b], out, ws.scratch))
+    for (w, b), xp, taps, out in zip(_CONVS, frames, ws.taps, frames[1:]):
+        _relu_padded(_conv3x3(xp, p[w], p[b], out, ws.scratch, taps))
     w, b = _CONVS[-1]
-    _conv3x3(frames[-1], p[w], p[b], ws.top, ws.scratch)
-    np.subtract(x.transpose(1, 0, 2, 3), ws.top[:, :, 1:-1, 1:-1], out=ws.pred)
-    return ws.pred.transpose(1, 0, 2, 3), ws
+    _conv3x3(frames[-1], p[w], p[b], ws.top, ws.scratch, ws.taps[-1])
+    np.subtract(x, ws.top[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3), out=ws.pred)
+    return ws.pred, ws
 
 
 def forward(state: RestorerState, x: np.ndarray, *, ws=None) -> np.ndarray:
     """Unclipped restored batch x - head(x); clip only at evaluation time.
-    ``ws`` is an optional ``Workspace`` for x's shape; the result is then a
-    view into it, which its next pass overwrites."""
+    ``ws`` is an optional ``Workspace`` for x's shape; the result is then
+    its ``pred``, which its next pass overwrites."""
     if ws is None:
         ws = Workspace(x.shape, training=False, dtype=state.dtype)
     pred, _ = _forward_cached(state, x, ws)
@@ -371,8 +417,8 @@ def _backprop(state, ws, dpred):
         xp = ws.frames[i]
         if i > 0:
             mask = np.greater(xp, 0.0, out=_view(ws.mask, xp.shape, bool))
-        grads[w], grads[b], d = _conv3x3_backward(xp, p[w], d, need_dx=i > 0,
-                                                  dx=xp, scratch=ws.scratch)
+        grads[w], grads[b], d = _conv3x3_backward(
+            xp, p[w], d, ws.taps[i] if i > 0 else None)
         if i > 0:
             d *= mask
     return grads
@@ -424,9 +470,10 @@ def _consistency_terms(out_a, out_b, grad=None, tmp=None):
     """Mean absolute difference between two network outputs (L1) and its
     gradient in out_a, written into ``grad`` with ``tmp`` as scratch."""
     d = np.subtract(out_a, out_b, out=grad)
-    loss = float(np.mean(np.abs(d, out=tmp)))
-    np.sign(d, out=d)
-    d /= d.size
+    tmp = np.abs(d, out=tmp)
+    loss = float(np.mean(tmp))
+    # np.sign in place takes several times as long as into another array
+    np.divide(np.sign(d, out=tmp), d.size, out=d)
     return loss, d
 
 
@@ -472,11 +519,10 @@ def sgd_step(state: RestorerState, grads, lr=1e-2) -> RestorerState:
     for n in grads:
         if not np.all(np.isfinite(grads[n])):
             raise NumericalFaultError(f"non-finite gradient in {n}; step refused")
-    new = state.copy()
-    for n, _ in LAYER_SHAPES:
-        new.momentum[n] = MOMENTUM * new.momentum[n] + grads[n]
-        new.params[n] = new.params[n] - lr * new.momentum[n]
-    return new
+    momentum = {n: MOMENTUM * state.momentum[n] + grads[n] for n in _NAMES}
+    return RestorerState(
+        params={n: state.params[n] - lr * momentum[n] for n in _NAMES},
+        momentum=momentum)
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +532,14 @@ def sgd_step(state: RestorerState, grads, lr=1e-2) -> RestorerState:
 
 def images_to_batch(images, out=None) -> np.ndarray:
     """Stack Images into a channels-first (B, 3, H, W) batch, written into
-    ``out`` if given."""
-    arrs = []
-    for img in images:
-        data = img.data
-        if data.shape[2] == 1:
-            data = np.repeat(data, 3, axis=2)
-        arrs.append(np.transpose(data, (2, 0, 1)))
-    return np.stack(arrs, out=out)
+    ``out`` if given, one image per row; a one-channel image fills all three
+    channels."""
+    rows = [np.transpose(img.data, (2, 0, 1)) for img in images]
+    if out is None:
+        return np.stack([np.broadcast_to(r, (3, *r.shape[1:])) for r in rows])
+    for dst, src in zip(out, rows, strict=True):
+        np.copyto(dst, src)
+    return out
 
 
 def restore_image(state, img: Image, *, ws=None) -> Image:

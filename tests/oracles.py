@@ -35,11 +35,25 @@ def kink_margin(state, x, prev_out=None):
     pred, ws = restorer._forward_cached(state, x)
     p = state.params
     margin = min(
-        float(np.abs(restorer._conv3x3(xp, p[w], p[b])[:, :, 1:-1, 1:-1]).min())
-        for xp, (w, b) in zip(ws.frames, restorer._CONVS[:-1]))
+        float(np.abs(restorer._conv3x3(xp, p[w], p[b], taps=taps)
+                     [:, :, 1:-1, 1:-1]).min())
+        for xp, taps, (w, b) in zip(ws.frames, ws.taps, restorer._CONVS[:-1]))
     if prev_out is not None:
         margin = min(margin, float(np.abs(pred - prev_out).min()))
     return margin
+
+
+def guarded_frame(a):
+    """(xp, taps): the replicate-padded channel-major frame of a (B, C, H, W)
+    array, between guard bands of zeros as in a ``restorer.Workspace``, and
+    the frame's ``restorer._frame_taps``, which the shifted-GEMM conv and
+    every input gradient need."""
+    bsz, c, h, w = a.shape
+    guard = w + 3
+    buf = np.zeros(c * bsz * (h + 2) * (w + 2) + 2 * guard)
+    xp = buf[guard:-guard].reshape(c, bsz, h + 2, w + 2)
+    pad_replicate(a.transpose(1, 0, 2, 3), out=xp)
+    return xp, restorer._frame_taps(buf, guard, xp.shape)
 
 
 def grad_check(state, x, target, prev_out=None, lam=0.0, n_samples=200,

@@ -340,20 +340,35 @@ def test_float32_stage_keeps_every_array_float32(monkeypatch):
 FLOAT64_STAGE_DIGEST = (
     "455dbf2bce313e7a68c0b3401b21d3ff6bee6ef5534a1348e9c98f67e623d9b4")
 
+# The same digest of the same stage in TRAIN_DTYPE, as the kernels with a
+# numpy product and add per conv tap computed it (numpy 2.4.6, OpenBLAS
+# 0.3.31): it pins the bits of the float32 training path.
+FLOAT32_STAGE_DIGEST = (
+    "3d74f5d856f9d1a0b424912a86200c604515f133aa4742c09063d4b4ef045757")
 
-def test_float64_stage_is_bit_identical_to_the_float64_restorer():
+
+def _stage_digest(dtype):
     ds = make_dataset(dataset_spec("a", 5, pairs=5, size=16))
     replay = make_dataset(dataset_spec("b", 6, angle=30.0, pairs=3, size=16))
     state, log = pipeline.train_stage(
-        restorer.RestorerState.random_init(1), restorer.RestorerState.random_init(2),
+        restorer.RestorerState.random_init(1, dtype=dtype),
+        restorer.RestorerState.random_init(2, dtype=dtype),
         ds.pairs, replay.pairs, _tiny_cfg(lam=1.0), 9, 2)
     digest = hashlib.sha256()
     for part in (state.params, state.momentum):
         for n, _ in restorer.LAYER_SHAPES:
-            assert part[n].dtype == np.float64
+            assert part[n].dtype == dtype
             digest.update(part[n].tobytes())
     digest.update(repr(log).encode())
-    assert digest.hexdigest() == FLOAT64_STAGE_DIGEST
+    return digest.hexdigest()
+
+
+def test_float64_stage_is_bit_identical_to_the_float64_restorer():
+    assert _stage_digest(np.float64) == FLOAT64_STAGE_DIGEST
+
+
+def test_float32_stage_is_bit_identical_to_the_per_tap_kernels():
+    assert _stage_digest(pipeline.TRAIN_DTYPE) == FLOAT32_STAGE_DIGEST
 
 
 def test_runs_train_in_train_dtype(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from rainreplay import restorer
-from rainreplay.imaging import ShapeError, pad_replicate
+from rainreplay.imaging import ShapeError
 from rainreplay.restorer import (
     CHARBONNIER_EPS, LAYER_SHAPES, PARAM_COUNT, NumericalFaultError,
     RestorerState, forward,
@@ -19,8 +19,8 @@ from rainreplay.synthdata import make_dataset
 
 from conftest import dataset_spec
 from oracles import (
-    backprop_alloc, backward, forward_cached_alloc, grad_check, kink_margin,
-    loss_grads_alloc, relu_padded_interior,
+    backprop_alloc, backward, forward_cached_alloc, grad_check, guarded_frame,
+    kink_margin, loss_grads_alloc, relu_padded_interior,
 )
 
 
@@ -115,9 +115,9 @@ def test_forward_shape_checked(rng):
 
 
 # The conv kernels work on channel-major (C, B, H+2, W+2) frames: a
-# replicate-padded input, and gradients with a zero border.
-def _input_frame(a):
-    return pad_replicate(a.transpose(1, 0, 2, 3))
+# replicate-padded input with its tap windows, and gradients with a zero
+# border.
+_input_frame = guarded_frame
 
 
 def _grad_frame(a):
@@ -135,7 +135,8 @@ def test_conv_matches_scalar_oracle(rng):
     x = rng.normal(0, 1, (3, 5, 7, 6))  # odd, non-square: B=3, C=5, 7x6
     w = rng.normal(0, 1, (4, 5, 3, 3))
     b = rng.normal(0, 1, 4)
-    out = restorer._conv3x3(_input_frame(x), w, b)  # channel-major layout
+    xp, taps = _input_frame(x)
+    out = restorer._conv3x3(xp, w, b, taps=taps)  # channel-major layout
     assert np.allclose(_interior(out), conv_oracle(x, w, b), atol=1e-12)
 
 
@@ -143,14 +144,15 @@ def test_conv_backward_matches_scalar_oracle(rng):
     x = rng.normal(0, 1, (3, 5, 7, 6))
     w = rng.normal(0, 1, (4, 5, 3, 3))
     dout = rng.normal(0, 1, (3, 4, 7, 6))
-    dw, db, dx = restorer._conv3x3_backward(_input_frame(x), w,
-                                            _grad_frame(dout))
+    xp, taps = _input_frame(x)
+    dw, db, dx = restorer._conv3x3_backward(xp, w, _grad_frame(dout), taps)
     want_dw, want_db, want_dx = conv_backward_oracle(x, w, dout)
     assert np.allclose(dw, want_dw, atol=1e-12)
     assert np.allclose(db, want_db, atol=1e-12)
     assert np.allclose(_interior(dx), want_dx, atol=1e-12)
+    # dx was written over xp, so dW alone reads a fresh frame
     dw1, db1, none = restorer._conv3x3_backward(
-        _input_frame(x), w, _grad_frame(dout), need_dx=False)
+        _input_frame(x)[0], w, _grad_frame(dout))
     assert none is None
     assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
 
@@ -160,16 +162,17 @@ def _check_conv_against_oracle(rng, bsz, c, o, h, wd):
     w = rng.normal(0, 1, (o, c, 3, 3))
     b = rng.normal(0, 1, o)
     dout = rng.normal(0, 1, (bsz, o, h, wd))
-    xp, dp = _input_frame(x), _grad_frame(dout)
-    out = restorer._conv3x3(xp, w, b)
+    (xp, taps), dp = _input_frame(x), _grad_frame(dout)
+    out = restorer._conv3x3(xp, w, b, taps=taps)
     assert np.allclose(_interior(out), conv_oracle(x, w, b), atol=1e-12)
-    dw, db, dx = restorer._conv3x3_backward(xp, w, dp)
+    dw, db, dx = restorer._conv3x3_backward(xp, w, dp, taps)
     want_dw, want_db, want_dx = conv_backward_oracle(x, w, dout)
     assert np.allclose(dw, want_dw, atol=1e-12)
     assert np.allclose(db, want_db, atol=1e-12)
     assert np.allclose(_interior(dx), want_dx, atol=1e-12)
     assert not dx[:, :, [0, -1]].any() and not dx[:, :, :, [0, -1]].any()
-    dw1, db1, none = restorer._conv3x3_backward(xp, w, dp, need_dx=False)
+    # dx was written over xp, so dW alone reads a fresh frame
+    dw1, db1, none = restorer._conv3x3_backward(_input_frame(x)[0], w, dp)
     assert none is None
     assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
 
@@ -334,6 +337,26 @@ def test_consistency_input_gradient(rng):
         lambda p, o: restorer._consistency_terms(p, o)[0],
         lambda p, o: restorer._consistency_terms(p, o)[1], pred, other)
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
+                                         (np.float64, np.uint64)])
+def test_consistency_gradient_is_the_sign_over_special_values(dtype, bits):
+    # NaN must stay NaN, so that sgd_step refuses a step on a NaN teacher row
+    info = np.finfo(dtype)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+               info.smallest_subnormal, -info.smallest_subnormal, info.tiny,
+               -info.tiny, info.max, -info.max]
+    rng = np.random.default_rng(4)
+    a = rng.normal(0.0, 1.0, (2, 3, 5, 5)).astype(dtype)
+    a.flat[rng.choice(a.size, len(special), replace=False)] = special
+    b = np.zeros_like(a)
+    want = np.sign(a - b) / a.size
+    grad, tmp = np.empty_like(a), np.empty_like(a)
+    for got in (restorer._consistency_terms(a, b)[1],
+                restorer._consistency_terms(a, b, grad, tmp)[1]):
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(bits), want.view(bits))
 
 
 def test_fixture_has_safe_kink_margin():
