@@ -417,8 +417,8 @@ def _backprop(state, ws, dpred):
         xp = ws.frames[i]
         if i > 0:
             mask = np.greater(xp, 0.0, out=_view(ws.mask, xp.shape, bool))
-        grads[w], grads[b], d = _conv3x3_backward(
-            xp, p[w], d, ws.taps[i] if i > 0 else None)
+        # the first frame has no taps, so the first conv takes no dx
+        grads[w], grads[b], d = _conv3x3_backward(xp, p[w], d, ws.taps[i])
         if i > 0:
             d *= mask
     return grads

@@ -115,11 +115,8 @@ def test_forward_shape_checked(rng):
 
 
 # The conv kernels work on channel-major (C, B, H+2, W+2) frames: a
-# replicate-padded input with its tap windows, and gradients with a zero
-# border.
-_input_frame = guarded_frame
-
-
+# replicate-padded input with its tap windows (``guarded_frame``), and
+# gradients with a zero border.
 def _grad_frame(a):
     bsz, c, h, wd = a.shape
     frame = np.zeros((c, bsz, h + 2, wd + 2))
@@ -135,7 +132,7 @@ def test_conv_matches_scalar_oracle(rng):
     x = rng.normal(0, 1, (3, 5, 7, 6))  # odd, non-square: B=3, C=5, 7x6
     w = rng.normal(0, 1, (4, 5, 3, 3))
     b = rng.normal(0, 1, 4)
-    xp, taps = _input_frame(x)
+    xp, taps = guarded_frame(x)
     out = restorer._conv3x3(xp, w, b, taps=taps)  # channel-major layout
     assert np.allclose(_interior(out), conv_oracle(x, w, b), atol=1e-12)
 
@@ -144,7 +141,7 @@ def test_conv_backward_matches_scalar_oracle(rng):
     x = rng.normal(0, 1, (3, 5, 7, 6))
     w = rng.normal(0, 1, (4, 5, 3, 3))
     dout = rng.normal(0, 1, (3, 4, 7, 6))
-    xp, taps = _input_frame(x)
+    xp, taps = guarded_frame(x)
     dw, db, dx = restorer._conv3x3_backward(xp, w, _grad_frame(dout), taps)
     want_dw, want_db, want_dx = conv_backward_oracle(x, w, dout)
     assert np.allclose(dw, want_dw, atol=1e-12)
@@ -152,7 +149,7 @@ def test_conv_backward_matches_scalar_oracle(rng):
     assert np.allclose(_interior(dx), want_dx, atol=1e-12)
     # dx was written over xp, so dW alone reads a fresh frame
     dw1, db1, none = restorer._conv3x3_backward(
-        _input_frame(x)[0], w, _grad_frame(dout))
+        guarded_frame(x)[0], w, _grad_frame(dout))
     assert none is None
     assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
 
@@ -162,7 +159,7 @@ def _check_conv_against_oracle(rng, bsz, c, o, h, wd):
     w = rng.normal(0, 1, (o, c, 3, 3))
     b = rng.normal(0, 1, o)
     dout = rng.normal(0, 1, (bsz, o, h, wd))
-    (xp, taps), dp = _input_frame(x), _grad_frame(dout)
+    (xp, taps), dp = guarded_frame(x), _grad_frame(dout)
     out = restorer._conv3x3(xp, w, b, taps=taps)
     assert np.allclose(_interior(out), conv_oracle(x, w, b), atol=1e-12)
     dw, db, dx = restorer._conv3x3_backward(xp, w, dp, taps)
@@ -172,7 +169,7 @@ def _check_conv_against_oracle(rng, bsz, c, o, h, wd):
     assert np.allclose(_interior(dx), want_dx, atol=1e-12)
     assert not dx[:, :, [0, -1]].any() and not dx[:, :, :, [0, -1]].any()
     # dx was written over xp, so dW alone reads a fresh frame
-    dw1, db1, none = restorer._conv3x3_backward(_input_frame(x)[0], w, dp)
+    dw1, db1, none = restorer._conv3x3_backward(guarded_frame(x)[0], w, dp)
     assert none is None
     assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
 
