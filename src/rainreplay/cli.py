@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -59,10 +60,7 @@ _RAIN_DEFAULTS = {
     "width": 1.0, "density": 20.0, "intensity_mean": 0.5, "intensity_std": 0.1,
 }
 _DATASET_KEYS = {"angle_mean", *_RAIN_DEFAULTS, "pair_count", "image_size", "seed"}
-_CONSTANT_KEYS = {
-    "p_g", "e_g", "b_g", "f_g_train", "t_g_train", "f_r", "t_r",
-    "p_d", "e_d", "b_d", "f_d_train", "t_d_train",
-}
+_CONSTANT_KEYS = {f.name for f in dataclasses.fields(costs.CostConstants)}
 
 
 class CliError(Exception):
@@ -169,16 +167,6 @@ def parse_stream_spec(raw, path):
         raise CliError(f"{path}: key 'datasets': {exc}", EXIT_BAD_KEY) from None
 
 
-def require_training_pairs(stream, path):
-    """Reject a dataset whose training split would be empty: ``run`` and
-    ``similarity`` train or fit on it, and one pair is all test."""
-    for spec in stream:
-        if spec.pair_count < 2:
-            raise CliError(
-                f"{path}: dataset {spec.id!r}: pair_count must be >= 2 for a "
-                f"training split, got {spec.pair_count}", EXIT_BAD_KEY)
-
-
 def _manifest_key(flag):
     return flag[2:].replace("-", "_")
 
@@ -268,7 +256,6 @@ def cmd_run(args):
             f"unknown method {args.method!r}; expected one of {METHODS}",
             EXIT_BAD_METHOD)
     stream, spec_seed, spec_raw = parse_stream_spec(spec_raw, origin)
-    require_training_pairs(stream, origin)
     seed = args.seed if args.seed is not None else spec_seed
     cfg = build_stage_config(args, seed)
     try:
@@ -291,7 +278,10 @@ def cmd_run(args):
 
 def cmd_similarity(args):
     stream, spec_seed, _ = parse_stream_spec(parse_kv_file(args.config), args.config)
-    require_training_pairs(stream, args.config)
+    try:
+        pipeline.require_training_pairs(stream)
+    except synthdata.ConfigError as exc:
+        raise CliError(f"{args.config}: {exc}", EXIT_BAD_KEY) from None
     seed = args.seed if args.seed is not None else spec_seed
     run_defaults = build_parser().parse_args(["run", "--out", os.devnull])
     cfg = build_stage_config(run_defaults, seed)

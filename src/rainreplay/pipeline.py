@@ -272,7 +272,7 @@ def _checked_train_count(spec) -> int:
     n_train = train_count(spec.pair_count)
     if n_train < 1:
         raise ConfigError(f"dataset {spec.id!r}: {spec.pair_count} pair "
-                          f"leaves no training pair")
+                          f"leaves no training pair; raise its pair_count")
     return n_train
 
 
@@ -365,11 +365,17 @@ def memory_chain(train_sets, cfg: StageConfig):
     return map(step, itertools.count(1), train_sets)
 
 
+def require_training_pairs(stream: DatasetStream):
+    """ConfigError if a dataset of the stream would have no training pair.
+    Builds nothing, so callers check a stream before building any of it."""
+    for spec in stream:
+        _checked_train_count(spec)
+
+
 def stream_splits(stream: DatasetStream):
     """Per dataset of the stream: (training set, test pairs). ConfigError
     before any dataset is built if one would have no training pair."""
-    for spec in stream:
-        _checked_train_count(spec)
+    require_training_pairs(stream)
     return [split_train_test(make_dataset(spec)) for spec in stream]
 
 

@@ -5,8 +5,9 @@ Architecture: the replicate-padded 3x3 convs of ``LAYER_SHAPES`` in order,
 bias) pair; the forward and backward passes loop over them. The head predicts
 the rain residual, so the restored image is x - head(x). Zero-initialized
 weights give the identity. Training uses the fixed ``CHARBONNIER_EPS`` and
-``MOMENTUM``; a state flattens to one vector in ``LAYER_SHAPES`` order, the
-layout of the state file.
+``MOMENTUM``. Parameters, momenta and gradients are each one vector laid
+out in ``LAYER_SHAPES`` order, the layout of the state file, which a
+``Params`` reads as per-layer views, so a step updates whole vectors.
 
 Batches are channels-first arrays of shape (B, 3, H, W). A pass computes in
 the state's dtype (``RestorerState.dtype``), casting the batch into its first
@@ -70,7 +71,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .imaging import (
     Image, ShapeError, fill_replicate_border, fold_replicate_border,
@@ -84,7 +84,11 @@ LAYER_SHAPES = (
     ("w2", (8, 8, 3, 3)), ("b2", (8,)),
     ("w3", (3, 8, 3, 3)), ("b3", (3,)),
 )
-PARAM_COUNT = sum(int(np.prod(s)) for _, s in LAYER_SHAPES)
+_STARTS = (0, *np.cumsum([math.prod(s) for _, s in LAYER_SHAPES]).tolist())
+PARAM_COUNT = _STARTS[-1]
+# The one parameter layout: each layer's (name, shape, slice) of the vector
+_SLICES = tuple((n, s, slice(a, b))
+                for (n, s), a, b in zip(LAYER_SHAPES, _STARTS, _STARTS[1:]))
 _NAMES = [n for n, _ in LAYER_SHAPES]
 # (weight, bias) names of each conv, input to output
 _CONVS = tuple(zip(_NAMES[::2], _NAMES[1::2]))
@@ -101,9 +105,6 @@ MOMENTUM = 0.9  # SGD momentum of every step
 # GEMM measured faster.
 _STACKED_MAX_CHANNELS = 3
 
-# The BLAS GEMM of each dtype a workspace may hold
-_GEMM = {np.dtype(np.float32): blas.sgemm, np.dtype(np.float64): blas.dgemm}
-
 STATE_MAGIC = b"RRST"
 STATE_VERSION = 1
 
@@ -112,54 +113,51 @@ class NumericalFaultError(RuntimeError):
     """Non-finite value encountered where finiteness is required."""
 
 
+class Params(dict):
+    """Name -> array shaped per LAYER_SHAPES, each a view of ``flat``, one
+    vector of PARAM_COUNT entries laid out by ``_SLICES``. Assigning an
+    entry writes into its view, so ``flat`` always holds every entry."""
+
+    __slots__ = ("flat",)
+
+    def __init__(self, flat):
+        if flat.shape != (PARAM_COUNT,):
+            raise ShapeError(f"expected a vector of {PARAM_COUNT} parameters, "
+                             f"got shape {flat.shape}")
+        super().__init__((n, flat[sl].reshape(s)) for n, s, sl in _SLICES)
+        self.flat = flat
+
+    def __setitem__(self, name, value):
+        self[name][...] = value
+
+    def copy(self):
+        return Params(self.flat.copy())
+
+
 @dataclass
 class RestorerState:
-    params: dict  # name -> ndarray per LAYER_SHAPES
-    momentum: dict  # same shapes, SGD velocity buffers
+    params: Params
+    momentum: Params  # SGD velocity buffers
 
     @classmethod
     def zeros(cls):
-        return cls(
-            params={n: np.zeros(s) for n, s in LAYER_SHAPES},
-            momentum={n: np.zeros(s) for n, s in LAYER_SHAPES},
-        )
+        return cls(Params(np.zeros(PARAM_COUNT)), Params(np.zeros(PARAM_COUNT)))
 
     @classmethod
     def random_init(cls, seed: int, scale: float = 0.05, dtype=np.float64):
         """Normal(0, scale) weights and zero momenta, drawn in float64 and
         cast to dtype, so every dtype rounds the same draws."""
-        rng = np.random.default_rng(seed)
-        return cls(
-            params={n: rng.normal(0.0, scale, s).astype(dtype, copy=False)
-                    for n, s in LAYER_SHAPES},
-            momentum={n: np.zeros(s, dtype) for n, s in LAYER_SHAPES},
-        )
+        draws = np.random.default_rng(seed).normal(0.0, scale, PARAM_COUNT)
+        return cls(Params(draws.astype(dtype, copy=False)),
+                   Params(np.zeros(PARAM_COUNT, dtype)))
 
     @property
     def dtype(self):
         """The dtype of the parameters, which every pass on them computes in."""
-        return self.params[_NAMES[0]].dtype
+        return self.params.flat.dtype
 
     def copy(self):
-        return RestorerState(
-            params={n: v.copy() for n, v in self.params.items()},
-            momentum={n: v.copy() for n, v in self.momentum.items()},
-        )
-
-
-def _flatten(arrays):
-    """One vector of a name -> array dict, in LAYER_SHAPES order."""
-    return np.concatenate([arrays[n].ravel() for n in _NAMES])
-
-
-def _unflatten(flat):
-    """Inverse of ``_flatten``: fresh arrays shaped per LAYER_SHAPES."""
-    arrays, pos = {}, 0
-    for n, s in LAYER_SHAPES:
-        cnt = int(np.prod(s))
-        arrays[n] = flat[pos : pos + cnt].reshape(s).copy()
-        pos += cnt
-    return arrays
+        return RestorerState(self.params.copy(), self.momentum.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +267,14 @@ def _frame_taps(buf, start, shape):
     order, the (B*(H+2)*(W+2), C) Fortran-ordered window whose row q holds
     what the output at frame position q reads. The centre tap's window is the
     frame itself."""
+    # only a process that builds a workspace loads scipy.linalg
+    from scipy.linalg.blas import get_blas_funcs
     c, bsz, hp, wp = shape
     size = c * bsz * hp * wp
     windows = tuple(buf[start + d : start + d + size].reshape(c, -1).T
                     for d in (k * wp + l - (wp + 1)
                               for k in range(3) for l in range(3)))
-    return _GEMM[buf.dtype], windows
+    return get_blas_funcs("gemm", dtype=buf.dtype), windows
 
 
 def _conv3x3(xp, w, b, out=None, scratch=None, taps=None):
@@ -405,9 +405,11 @@ def _backprop(state, ws, dpred):
     (for the head, ``ws.top``) and writing that of its input over its input
     frame, once dW and the ReLU mask are taken from it. A ReLU output is
     positive exactly where its input is, so the input frames give the ReLU
-    masks; the gradient frames' zero borders stay zero under them."""
+    masks; the gradient frames' zero borders stay zero under them. Made up
+    front, the gradients' vector would add to a step's traced peak (the
+    transposed negation's iterator buffers), so it is joined after the loop."""
     p = state.params
-    grads = dict.fromkeys(_NAMES)
+    grads = {}
     d = ws.top
     d.fill(0.0)
     # pred = x - residual
@@ -421,12 +423,11 @@ def _backprop(state, ws, dpred):
         grads[w], grads[b], d = _conv3x3_backward(xp, p[w], d, ws.taps[i])
         if i > 0:
             d *= mask
-    return grads
+    return Params(np.concatenate([grads[n].ravel() for n in _NAMES]))
 
 
 def add_grads(acc, other):
-    for n in acc:
-        acc[n] += other[n]
+    acc.flat += other.flat
     return acc
 
 
@@ -515,14 +516,13 @@ def replay_loss_grads(state, x, target, prev_out, lam, *, ws=None):
     return _loss_grads(state, x, target, prev_out, lam, ws)
 
 
-def sgd_step(state: RestorerState, grads, lr=1e-2) -> RestorerState:
-    for n in grads:
-        if not np.all(np.isfinite(grads[n])):
-            raise NumericalFaultError(f"non-finite gradient in {n}; step refused")
-    momentum = {n: MOMENTUM * state.momentum[n] + grads[n] for n in _NAMES}
-    return RestorerState(
-        params={n: state.params[n] - lr * momentum[n] for n in _NAMES},
-        momentum=momentum)
+def sgd_step(state: RestorerState, grads: Params, lr=1e-2) -> RestorerState:
+    if not np.isfinite(grads.flat).all():
+        bad = next(n for n, g in grads.items() if not np.isfinite(g).all())
+        raise NumericalFaultError(f"non-finite gradient in {bad}; step refused")
+    momentum = MOMENTUM * state.momentum.flat + grads.flat
+    return RestorerState(Params(state.params.flat - lr * momentum),
+                         Params(momentum))
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +552,8 @@ def save_state(state: RestorerState, path):
     header = STATE_MAGIC + struct.pack("<IQ", STATE_VERSION, PARAM_COUNT)
     with open(path, "wb") as fh:
         fh.write(header)
-        for arrays in (state.params, state.momentum):
-            fh.write(_flatten(arrays).astype("<f8").tobytes())
+        for part in (state.params, state.momentum):
+            fh.write(part.flat.astype("<f8").tobytes())
 
 
 def load_state(path) -> RestorerState:
@@ -566,8 +566,9 @@ def load_state(path) -> RestorerState:
         raise ValueError(f"unsupported state version {version}")
     if count != PARAM_COUNT:
         raise ValueError(f"parameter count mismatch: file has {count}, expected {PARAM_COUNT}")
-    body = np.frombuffer(blob[16:], dtype="<f8")
-    if body.size != 2 * PARAM_COUNT:
-        raise ValueError("truncated state payload")
-    return RestorerState(params=_unflatten(body[:PARAM_COUNT]),
-                         momentum=_unflatten(body[PARAM_COUNT:]))
+    got, size = len(blob) - 16, 16 * PARAM_COUNT  # parameters, momenta: <f8
+    if got != size:
+        kind = "truncated" if got < size else "over-long"
+        raise ValueError(f"{kind} state payload: {got} bytes, expected {size}")
+    body = np.frombuffer(blob, "<f8", offset=16).astype(np.float64)
+    return RestorerState(Params(body[:PARAM_COUNT]), Params(body[PARAM_COUNT:]))

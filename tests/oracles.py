@@ -13,7 +13,6 @@ from rainreplay.imaging import (
     LAPLACIAN_KERNEL, Image, fill_replicate_border, fold_replicate_border,
     pad_replicate,
 )
-from rainreplay.restorer import LAYER_SHAPES
 from rainreplay.synthdata import ConfigError, draw_streak, streak_count
 
 
@@ -60,13 +59,12 @@ def grad_check(state, x, target, prev_out=None, lam=0.0, n_samples=200,
                h=1e-4, seed=0):
     """Max relative error of analytic vs central finite-difference gradients
     over n_samples randomly chosen parameters."""
-    _, grads = backward(state, x, target, prev_out, lam)
-    flat_grads = np.concatenate([grads[n].ravel() for n, _ in LAYER_SHAPES])
-    flat = restorer._flatten(state.params)
+    flat_grads = backward(state, x, target, prev_out, lam)[1].flat
+    flat = state.params.flat
 
     def loss_at(vec):
         s = state.copy()
-        s.params = restorer._unflatten(vec)
+        s.params = restorer.Params(vec)
         return backward(s, x, target, prev_out, lam)[0]
 
     rng = np.random.default_rng(seed)

@@ -55,10 +55,8 @@ def _term_grad_error(state, x, target, prev, term, n_samples=80, h=1e-4):
         "edge": restorer._edge_terms(pred, target)[1],
         "consist": restorer._consistency_terms(pred, prev)[1],
     }[term]
-    grads = restorer._backprop(state, cache, dpred)
-    flat_g = np.concatenate(
-        [grads[n].ravel() for n, _ in restorer.LAYER_SHAPES])
-    base = restorer._flatten(state.params)
+    flat_g = restorer._backprop(state, cache, dpred).flat
+    base = state.params.flat
     rng = np.random.default_rng(7)
     idx = rng.choice(base.size, size=n_samples, replace=False)
     worst = 0.0
@@ -66,10 +64,10 @@ def _term_grad_error(state, x, target, prev, term, n_samples=80, h=1e-4):
         v = base.copy()
         v[i] += h
         s = state.copy()
-        s.params = restorer._unflatten(v)
+        s.params = restorer.Params(v)
         lp = loss(s)
         v[i] -= 2 * h
-        s.params = restorer._unflatten(v)
+        s.params = restorer.Params(v)
         lm = loss(s)
         fd = (lp - lm) / (2 * h)
         worst = max(worst, abs(fd - flat_g[i])
@@ -87,14 +85,14 @@ def test_criterion_1_gradient_fidelity(capsys):
 
     # fault injection: a doubled gradient entry must be flagged
     _, grads = oracles.backward(state, x, target, prev, lam=1.0)
-    flat = np.concatenate([grads[n].ravel() for n, _ in restorer.LAYER_SHAPES])
+    flat = grads.flat
     i = int(np.argmax(np.abs(flat)))
     h = 1e-4
-    base = restorer._flatten(state.params)
+    base = state.params.flat
 
     def total(vec):
         s = state.copy()
-        s.params = restorer._unflatten(vec)
+        s.params = restorer.Params(vec)
         l_rep, l_con, _ = restorer.replay_loss_grads(s, x, target, prev, 1.0)
         return l_rep + l_con
 

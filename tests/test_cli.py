@@ -135,6 +135,21 @@ def test_similarity_with_single_pair_dataset_exits_2(tmp_path, capsys):
     assert path in err and "dataset 'a'" in err and "pair_count" in err
 
 
+@pytest.mark.parametrize("command", ["run", "similarity"])
+def test_training_pair_rule_is_the_pipelines(tmp_path, capsys, monkeypatch,
+                                            command):
+    """The commands apply ``pipeline.train_count``, not a rule of their own:
+    a 5-pair dataset whose split leaves no training pair is refused."""
+    monkeypatch.setattr(pipeline, "train_count", lambda pairs: 0)
+    path = tmp_path / "spec.txt"
+    path.write_text(SPEC)
+    extra = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, "--config", str(path), *extra]) == EXIT_BAD_KEY
+    err = capsys.readouterr().err
+    assert f"{path}: dataset 'a': 5 pair leaves no training pair" in err
+    assert not (tmp_path / "o").exists()
+
+
 def _mixed_size_spec(tmp_path):
     # c would reuse replay pairs drawn at b's size
     path = tmp_path / "mixed.txt"

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -552,6 +555,28 @@ def test_selective_chain_holds_one_stage_at_a_time(monkeypatch):
     stream = _stream([30.0, 120.0, 75.0, 30.0], pairs=6, size=32, seed0=60)
     assert len(selective_chain(stream, threshold=0.4, seed=1)) == 4
     assert (len(trains), len(replays)) == (4, 3)
+
+
+def test_selective_chain_does_not_load_scipy_linalg():
+    # scipy's BLAS is loaded with the first restorer workspace, so a process
+    # that trains nothing keeps scipy.linalg out
+    script = """if True:
+        import sys
+        from conftest import dataset_spec
+        from rainreplay import pipeline, restorer
+        from rainreplay.synthdata import make_stream
+        stream = make_stream([dataset_spec(f"d{k}", 60 + k, angle=a, pairs=4,
+                                           size=16)
+                              for k, a in enumerate((30.0, 120.0, 30.0))])
+        pipeline.selective_chain(stream, 0.4, 1)
+        assert "scipy.linalg" not in sys.modules
+        restorer.Workspace((1, 3, 8, 8))
+        assert "scipy.linalg" in sys.modules
+    """
+    paths = [os.path.dirname(os.path.dirname(pipeline.__file__)),
+             os.path.dirname(__file__)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_run_stream_holds_one_replay_set_at_a_time(monkeypatch):

@@ -10,7 +10,7 @@ from scipy import ndimage
 from rainreplay import restorer
 from rainreplay.imaging import ShapeError
 from rainreplay.restorer import (
-    CHARBONNIER_EPS, LAYER_SHAPES, PARAM_COUNT, NumericalFaultError,
+    CHARBONNIER_EPS, LAYER_SHAPES, PARAM_COUNT, NumericalFaultError, Params,
     RestorerState, forward,
     images_to_batch, load_state, replay_loss_grads, restore_image,
     restoration_loss_grads, save_state, sgd_step,
@@ -227,7 +227,8 @@ def test_forward_matches_named_layer_reference(shape):
 def test_param_count():
     assert PARAM_COUNT == 1027
     state = RestorerState.zeros()
-    assert restorer._flatten(state.params).size == PARAM_COUNT
+    for part in (state.params, state.momentum):
+        assert part.flat.shape == (PARAM_COUNT,)
     assert sum(v.size for v in state.params.values()) == PARAM_COUNT
 
 
@@ -373,18 +374,17 @@ def test_grad_check_total_with_consistency():
 
 def test_fault_injection_detected():
     state, x, target, prev = _smooth_fixture()
-    _, grads = backward(state, x, target, prev, lam=1.0)
-    flat = np.concatenate([grads[n].ravel() for n, _ in LAYER_SHAPES])
+    flat = backward(state, x, target, prev, lam=1.0)[1].flat
     i = int(np.argmax(np.abs(flat)))
     corrupted = 2.0 * flat[i]
 
     # central finite difference at the corrupted coordinate
     h = 1e-4
-    base = restorer._flatten(state.params)
+    base = state.params.flat
 
     def loss_at(vec):
         s = state.copy()
-        s.params = restorer._unflatten(vec)
+        s.params = Params(vec)
         l_rep, l_con, _ = replay_loss_grads(s, x, target, prev, 1.0)
         return l_rep + l_con
 
@@ -442,7 +442,11 @@ def test_random_init_casts_float64_draws():
         assert s32.params[n].dtype == s32.momentum[n].dtype == np.float32
         assert np.array_equal(s32.params[n], s64.params[n].astype(np.float32))
         assert not s32.momentum[n].any()
-    assert sgd_step(s32, dict(s32.params), lr=0.1).dtype == np.float32
+    # one draw of PARAM_COUNT normals equals the per-layer draws, concatenated
+    rng = np.random.default_rng(5)
+    per_layer = [rng.normal(0.0, 0.3, s).ravel() for _, s in LAYER_SHAPES]
+    assert s64.params.flat.tobytes() == np.concatenate(per_layer).tobytes()
+    assert sgd_step(s32, s32.params.copy(), lr=0.1).dtype == np.float32
 
 
 def test_float32_forward_and_grads_match_float64():
@@ -627,7 +631,7 @@ def test_workspace_rejects_a_shape_that_is_not_a_batch():
 
 def test_sgd_step_hand_computed():
     state = RestorerState.zeros()
-    grads = {n: np.full(s, 2.0) for n, s in LAYER_SHAPES}
+    grads = Params(np.full(PARAM_COUNT, 2.0))
     s1 = sgd_step(state, grads, lr=0.1)
     assert np.allclose(s1.params["w1"], -0.2)
     assert np.allclose(s1.momentum["w1"], 2.0)
@@ -639,10 +643,28 @@ def test_sgd_step_hand_computed():
 
 def test_sgd_rejects_nonfinite():
     state = RestorerState.zeros()
-    grads = {n: np.zeros(s) for n, s in LAYER_SHAPES}
+    grads = Params(np.zeros(PARAM_COUNT))
     grads["w2"][0, 0, 0, 0] = np.nan
-    with pytest.raises(NumericalFaultError):
+    with pytest.raises(NumericalFaultError, match="in w2;"):
         sgd_step(state, grads)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       lr=st.floats(1e-4, 1.0))
+def test_sgd_step_equals_per_tensor_update(data, dtype, lr):
+    def draw():
+        return Params(data.draw(hnp.arrays(
+            dtype, PARAM_COUNT,
+            elements=st.floats(-1e3, 1e3, width=8 * np.dtype(dtype).itemsize))))
+
+    state, grads = RestorerState(draw(), draw()), draw()
+    new = sgd_step(state, grads, lr=lr)
+    assert new.dtype == dtype
+    for n, _ in LAYER_SHAPES:
+        m = restorer.MOMENTUM * state.momentum[n] + grads[n]
+        assert new.momentum[n].tobytes() == m.tobytes()
+        assert new.params[n].tobytes() == (state.params[n] - lr * m).tobytes()
 
 
 def test_training_descends():
@@ -693,8 +715,8 @@ def test_state_roundtrip(tmp_path):
 @given(data=st.data())
 def test_state_roundtrip_exact_any_values(tmp_path_factory, data):
     def draw():
-        return {n: data.draw(hnp.arrays(np.float64, s, elements=st.floats()))
-                for n, s in LAYER_SHAPES}
+        return Params(data.draw(hnp.arrays(np.float64, PARAM_COUNT,
+                                           elements=st.floats())))
 
     state = RestorerState(params=draw(), momentum=draw())
     path = tmp_path_factory.mktemp("state") / "state.bin"
@@ -722,6 +744,19 @@ def test_float32_state_roundtrips_exactly_through_f8_file(tmp_path):
             assert got[n].astype(np.float32).tobytes() == want[n].tobytes()
 
 
+def test_params_entries_are_views_of_the_flat_vector(tmp_path):
+    state = RestorerState.random_init(3)
+    state.params["w1"][0, 0, 0, 0] = 7.0
+    state.params["b3"] = [1.0, 2.0, 3.0]  # assigning writes into the view
+    assert state.params.flat[0] == 7.0
+    assert list(state.params.flat[-3:]) == [1.0, 2.0, 3.0]
+    path = tmp_path / "state.bin"
+    save_state(state, path)
+    body = np.frombuffer(path.read_bytes(), "<f8", offset=16)
+    assert body[0] == 7.0
+    assert list(body[PARAM_COUNT - 3 : PARAM_COUNT]) == [1.0, 2.0, 3.0]
+
+
 def test_state_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"XXXX" + bytes(32))
@@ -744,4 +779,16 @@ def test_state_rejects_truncation(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("extra, kind", [(-8, "truncated"), (-3, "truncated"),
+                                         (8, "over-long"), (5, "over-long")])
+def test_state_names_a_bad_payload_length(tmp_path, extra, kind):
+    path = tmp_path / "state.bin"
+    save_state(RestorerState.random_init(4), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:extra] if extra < 0 else blob + bytes(extra))
+    with pytest.raises(ValueError, match=f"^{kind} state payload: "
+                       f"{16 * PARAM_COUNT + extra} bytes, expected"):
         load_state(path)
